@@ -185,6 +185,27 @@ class HealthEmitter {
                 prev_retx_ = 0;
 };
 
+// The audit phase's verdict, printed the same way for either engine: the
+// shared safe-point auditor's counts, its latest violation and every health
+// warning kind raised. Returns 4 when --health-fatal and anything was flagged.
+int report_audit(const char* label, const dgr::AuditStats& as,
+                 const dgr::HealthReport& hr, bool health_fatal) {
+  std::printf("# %s: %llu safe-point audits, %llu violations; "
+              "health: %llu warnings\n",
+              label, (unsigned long long)as.audits,
+              (unsigned long long)as.violations,
+              (unsigned long long)hr.total());
+  if (as.violations)
+    std::printf("# last audit violation: %s\n", as.last_what.c_str());
+  for (std::size_t k = 0; k < dgr::obs::kNumHealthKinds; ++k)
+    if (hr.warnings[k])
+      std::printf(
+          "# health warning: %s x%llu\n",
+          dgr::obs::health_kind_name(static_cast<dgr::obs::HealthKind>(k)),
+          (unsigned long long)hr.warnings[k]);
+  return health_fatal && (as.violations || hr.total()) ? 4 : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -479,9 +500,7 @@ int main(int argc, char** argv) {
     // per-vertex tags that a marker restarting at epoch 1 would alias.
     peng.marker().seed_epoch(Plane::kR, engine.marker().epoch(Plane::kR));
     peng.marker().seed_epoch(Plane::kT, engine.marker().epoch(Plane::kT));
-    AuditOptions aopt;
-    aopt.period = audit_period;
-    peng.enable_audit(aopt);
+    peng.enable_audit(AuditOptions{audit_period});
 #if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) peng.enable_trace();
 #endif
@@ -535,14 +554,9 @@ int main(int argc, char** argv) {
 #endif
     if (metrics_path)
       write_file(metrics_path, peng.cluster_metrics_json() + "\n");
-    const AuditStats& as = peng.audit_stats();
+    const int audit_rc = report_audit("proc audit", peng.audit_stats(),
+                                      peng.health(), health_fatal);
     const ProcEngineStats ps = peng.stats();
-    std::printf("# proc audit: %llu safe-point audits, %llu violations; "
-                "workers: %u\n",
-                (unsigned long long)as.audits,
-                (unsigned long long)as.violations, peng.num_workers());
-    if (as.violations)
-      std::printf("# last audit violation: %s\n", as.last_what.c_str());
     std::printf(
         "# transport: frames=%llu sent / %llu received, bytes=%llu/%llu, "
         "accepts=%llu reconnects=%llu partial_resumes=%llu\n",
@@ -604,7 +618,7 @@ int main(int argc, char** argv) {
         rc = rc ? rc : 6;
       }
     }
-    if (health_fatal && as.violations) rc = rc ? rc : 4;
+    if (audit_rc) rc = rc ? rc : audit_rc;
   } else if (audit_period) {
     // Post-evaluation auditing phase: hand the evaluated graph to the
     // threaded engine and run continuous marking cycles over it with
@@ -624,9 +638,7 @@ int main(int argc, char** argv) {
     // fresh marker restarting at epoch 1 would alias them as current.
     teng.marker().seed_epoch(Plane::kR, engine.marker().epoch(Plane::kR));
     teng.marker().seed_epoch(Plane::kT, engine.marker().epoch(Plane::kT));
-    AuditOptions aopt;
-    aopt.period = audit_period;
-    teng.enable_audit(aopt);
+    teng.enable_audit(AuditOptions{audit_period});
     teng.enable_watchdog();
 #if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) teng.enable_trace();
@@ -656,15 +668,8 @@ int main(int argc, char** argv) {
     if (metrics_path)
       write_file(std::string(metrics_path) + ".audit.json",
                  teng.metrics_registry().to_json() + "\n");
-    const AuditStats& as = teng.audit_stats();
-    const HealthReport hr = teng.health();
-    std::printf("# audit: %llu safe-point audits, %llu violations; "
-                "health: %llu warnings\n",
-                (unsigned long long)as.audits,
-                (unsigned long long)as.violations,
-                (unsigned long long)hr.total());
-    if (as.violations)
-      std::printf("# last audit violation: %s\n", as.last_what.c_str());
+    const int audit_rc = report_audit("audit", teng.audit_stats(),
+                                      teng.health(), health_fatal);
     if (const FaultPlane* fp = teng.fault_plane()) {
       const FaultPlane::Stats fs = fp->stats();
       const ChannelManager::Stats cs = teng.channels()->stats();
@@ -677,12 +682,7 @@ int main(int argc, char** argv) {
           (unsigned long long)cs.dup_suppressed,
           (unsigned long long)cs.delivered, (unsigned long long)cs.unacked);
     }
-    for (std::size_t k = 0; k < obs::kNumHealthKinds; ++k)
-      if (hr.warnings[k])
-        std::printf("# health warning: %s x%llu\n",
-                    obs::health_kind_name(static_cast<obs::HealthKind>(k)),
-                    (unsigned long long)hr.warnings[k]);
-    if (health_fatal && (as.violations || hr.total())) rc = rc ? rc : 4;
+    if (audit_rc) rc = rc ? rc : audit_rc;
   }
   return rc;
 }

@@ -118,7 +118,10 @@ class TaskSink {
   // either has not executed yet — it still holds a marking-tree count, so
   // the plane cannot terminate before it delivers at least `prior` to the
   // child — or has executed, leaving the child's recorded priority at or
-  // above `prior` (mark2 would return immediately). Engines without a
+  // above `prior` (mark2 would return immediately). It does let the parent
+  // be marked while the child is still unmarked (invariant 2 holds again
+  // once the admitted mark lands); a mutator adding an edge under such a
+  // parent queues a rescue (Mutator::cooperate_new_edge). Engines without a
   // summary table admit everything. Only modify()-spawned child marks
   // consult this: root/rescue seeds and cooperation re-marks bypass it.
   virtual bool admit_mark(Plane plane, VertexId child, std::uint8_t prior,

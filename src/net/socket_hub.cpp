@@ -120,19 +120,21 @@ bool SocketHub::handle_register(Conn* c, const NetFrame& f) {
         for (std::uint32_t pe = cfg.pe_begin; pe < cfg.pe_begin + cfg.pe_count;
              ++pe)
           endpoint_owner_[pe] = w;
+        // Queue the ack before releasing mu_: once workers_[w] is visible,
+        // other threads may send to this worker (the controller's first
+        // clock probe), and the worker expects the ack first.
+        NetFrame ack;
+        ack.type = FrameType::kRegisterAck;
+        ack.payload = encode_register_ack(d.ack);
+        enqueue(c, ack);
       }
     }
   }
-  NetFrame reply;
-  reply.src = 0;
-  reply.dst = 0;
   if (d.accept) {
-    reply.type = FrameType::kRegisterAck;
-    reply.payload = encode_register_ack(d.ack);
-    enqueue(c, reply);
     cv_.notify_all();
     return true;
   }
+  NetFrame reply;
   reply.type = FrameType::kReject;
   reply.payload = encode_reject(d.reject);
   // Write the rejection synchronously: the connection is about to close and

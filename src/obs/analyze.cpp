@@ -7,32 +7,12 @@
 #include <cstring>
 #include <unordered_map>
 
+#include "obs/json.h"
 #include "util/stats.h"
 
 namespace dgr::obs {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* key, std::uint64_t v,
-               bool comma = true) {
-  out += '"';
-  out += key;
-  out += "\":";
-  append_u64(out, v);
-  if (comma) out += ',';
-}
 
 WaveLatency summarize(const Histogram& h) {
   WaveLatency w;

@@ -5,16 +5,11 @@
 #include <cstring>
 
 #include "net/fault_plane.h"  // fault_kind_name (header-only; no dgr_net link)
+#include "obs/json.h"
 
 namespace dgr::obs {
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-  out += buf;
-}
 
 const char* plane_name(Plane p) { return p == Plane::kR ? "R" : "T"; }
 

@@ -4,6 +4,8 @@
 #include <functional>
 #include <thread>
 
+#include "obs/json.h"
+
 namespace dgr::obs {
 
 namespace {
@@ -136,18 +138,6 @@ void MetricsRegistry::reset() {
 }
 
 namespace {
-
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%llu", (unsigned long long)v);
-  out += buf;
-}
-
-void append_double(std::string& out, double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  out += buf;
-}
 
 void append_counters(std::string& out,
                      const std::function<std::uint64_t(Counter)>& get) {

@@ -78,7 +78,8 @@ inline constexpr std::size_t kNumEventTypes =
 const char* event_name(EventType t);
 
 // Payload `a` of kHealthWarning events (emitted by the ThreadEngine watchdog
-// and safe-point auditor; see runtime/thread_engine.h).
+// and by the SafePointAuditor of core/audit.h, which ThreadEngine and
+// ProcEngine share).
 enum class HealthKind : std::uint8_t {
   kMarkStall = 0,      // marking wave made no front progress   b = stalled marks
   kMailboxSaturated,   // mailbox backlog over threshold        b = backlog, pe set

@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <thread>
 
-#include "core/invariants.h"
 #include "graph/partitioner.h"
 #include "net/wire.h"
 #include "util/assert.h"
@@ -25,16 +24,26 @@ std::atomic<std::uint32_t> g_hub_serial{0};
 }  // namespace
 
 ProcEngine::ProcEngine(Graph& g, ProcOptions opt)
-    : g_(g),
+    : PoolSet(g.num_pes()),
+      g_(g),
       opt_(std::move(opt)),
       num_workers_(std::min(opt_.workers == 0 ? 1u : opt_.workers,
                             g.num_pes())),
+      marker_(std::make_unique<Marker>(g_, *this)),
+      auditor_(g_, *marker_,
+               [this](obs::HealthKind kind, std::uint64_t detail) {
+                 health_[static_cast<std::size_t>(kind)].fetch_add(
+                     1, std::memory_order_relaxed);
+                 DGR_TRACE_EVENT(trace_.get(), obs::EventType::kHealthWarning,
+                                 Plane::kR, 0,
+                                 controller_->cycles_completed() + 1,
+                                 static_cast<std::uint64_t>(kind), detail);
+               }),
       metrics_(g.num_pes()),
       t0_(std::chrono::steady_clock::now()) {
   clock_.resize(num_workers_);
   tele_.resize(num_workers_);
   worker_events_.resize(num_workers_);
-  marker_ = std::make_unique<Marker>(g_, *this);
   mutator_ = std::make_unique<Mutator>(g_, *marker_);
   controller_ =
       std::make_unique<Controller>(g_, *marker_, *this, VertexId::invalid());
@@ -58,9 +67,6 @@ ProcEngine::ProcEngine(Graph& g, ProcOptions opt)
   acked_seq_.assign(num_workers_, 0);
   force_full_.assign(num_workers_, 1);  // first handoff is always a snapshot
   reported_.assign(num_workers_, 0);
-
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
-    pools_.push_back(std::make_unique<TaskPool>());
 
   // Rescue waves reopen the plane before any seed is spawned; replicas must
   // learn both (and the controller-minted rescue root's record, which the
@@ -225,10 +231,14 @@ void ProcEngine::stop() {
 }
 
 void ProcEngine::wait_quiescent() {
-  while ((!controller_->idle() ||
-          recovering_.load(std::memory_order_acquire)) &&
-         !failed_.load(std::memory_order_acquire))
-    std::this_thread::yield();
+  std::unique_lock<std::recursive_mutex> lk(mu_);
+  idle_cv_.wait(lk, [this] { return controller_->idle() || failed(); });
+}
+
+void ProcEngine::set_failed() {
+  std::lock_guard<std::recursive_mutex> lk(mu_);
+  failed_.store(true, std::memory_order_release);
+  idle_cv_.notify_all();
 }
 
 void ProcEngine::wait_cycle_done() { wait_quiescent(); }
@@ -267,7 +277,7 @@ std::uint32_t ProcEngine::live_count_locked() const {
 
 void ProcEngine::inject(Task t) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
-  pools_[t.d.pe]->push(std::move(t));
+  pool_push(std::move(t));
 }
 
 void ProcEngine::on_plane_begin(Plane p) {
@@ -323,7 +333,7 @@ void ProcEngine::on_plane_begin(Plane p) {
 void ProcEngine::spawn(Task t) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
   if (!task_is_marking(t.kind)) {
-    pools_[t.d.pe]->push(std::move(t));
+    pool_push(std::move(t));
     return;
   }
   if (begin_pending_) {
@@ -358,7 +368,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       std::uint64_t epoch = 0;
       if (!decode_plane_signal(f.payload, plane, epoch)) {
         DGR_ERROR("worker %u: malformed kPlaneDone", worker);
-        failed_.store(true, std::memory_order_release);
+        set_failed();
         return;
       }
       // Stale or duplicate termination reports are ignorable: each wave's
@@ -401,7 +411,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       if (!apply_mark_report(f.payload, g_, collect_plane_, collect_epoch_,
                              s)) {
         DGR_ERROR("worker %u: mark report rejected", worker);
-        failed_.store(true, std::memory_order_release);
+        set_failed();
         return;
       }
       reported_[worker] = 1;
@@ -425,7 +435,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       HandoffAckMsg ack;
       if (!decode_handoff_ack(f.payload, ack)) {
         DGR_ERROR("worker %u: malformed kHandoffAck", worker);
-        failed_.store(true, std::memory_order_release);
+        set_failed();
         return;
       }
       if (ack.ok) {
@@ -451,7 +461,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       TelemetryMsg m;
       if (!decode_telemetry(f.payload, m)) {
         DGR_ERROR("worker %u: malformed kTelemetry", worker);
-        failed_.store(true, std::memory_order_release);
+        set_failed();
         return;
       }
       // Fold the worker's registry delta into the merged per-PE view. The
@@ -491,7 +501,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       ClockEchoMsg echo;
       if (!decode_clock_echo(f.payload, echo)) {
         DGR_ERROR("worker %u: malformed kClockEcho", worker);
-        failed_.store(true, std::memory_order_release);
+        set_failed();
         return;
       }
       clock_[worker].on_echo(echo.t_controller_us, now_us(),
@@ -501,7 +511,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
     default:
       DGR_ERROR("worker %u: unexpected control frame %s", worker,
                 frame_type_name(f.type));
-      failed_.store(true, std::memory_order_release);
+      set_failed();
   }
 }
 
@@ -519,7 +529,7 @@ void ProcEngine::on_worker_lost(std::uint32_t worker) {
   const std::uint32_t live = live_count_locked();
   if (live == 0) {
     DGR_ERROR("worker %u lost; no survivors, run failed", worker);
-    failed_.store(true, std::memory_order_release);
+    set_failed();
     return;
   }
   DGR_ERROR("worker %u lost (gen %u → %u); repartitioning %zu PEs onto %u "
@@ -527,10 +537,8 @@ void ProcEngine::on_worker_lost(std::uint32_t worker) {
             worker, (unsigned)gen_, (unsigned)(gen_ + 1), s.pes.size(), live);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kWorkerLost, Plane::kR, home,
                   worker, gen_ + 1);
-  recovering_.store(true, std::memory_order_release);
   repartition_onto_survivors();
   fence_and_restart();
-  recovering_.store(false, std::memory_order_release);
 }
 
 void ProcEngine::repartition_onto_survivors() {
@@ -667,28 +675,6 @@ void ProcEngine::watchdog_loop() {
   }
 }
 
-void ProcEngine::collect_task_refs(std::vector<TaskRef>& out) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  for (const auto& p : pools_)
-    p->for_each([&](const Task& t) { out.push_back(TaskRef{t.s, t.d}); });
-}
-
-std::size_t ProcEngine::expunge_tasks(
-    const std::function<bool(const Task&)>& kill) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  std::size_t n = 0;
-  for (const auto& p : pools_) n += p->expunge(kill);
-  return n;
-}
-
-std::size_t ProcEngine::reprioritize_tasks(
-    const std::function<std::uint8_t(const Task&)>& prio) {
-  std::lock_guard<std::recursive_mutex> lk(mu_);
-  std::size_t n = 0;
-  for (const auto& p : pools_) n += p->reprioritize(prio);
-  return n;
-}
-
 void ProcEngine::atomically(std::initializer_list<VertexId> /*vs*/,
                             const std::function<void()>& fn) {
   std::lock_guard<std::recursive_mutex> lk(mu_);
@@ -701,59 +687,27 @@ void ProcEngine::atomically(std::span<const VertexId> /*vs*/,
   fn();
 }
 
-void ProcEngine::enable_audit(AuditOptions opt) {
-  audit_opt_ = opt;
-  audit_enabled_ = opt.period != 0;
-}
-
-void ProcEngine::quiesce_begin() { maybe_audit(); }
-
-void ProcEngine::maybe_audit() {
-  audit_swept_check_ = false;
-  if (!audit_enabled_) return;
-  const std::uint64_t cyc = controller_->cycles_completed() + 1;
-  if (cyc % audit_opt_.period != 0) return;
-  ++audit_stats_.audits;
-  auto fail = [&](const std::string& what) {
-    ++audit_stats_.violations;
-    audit_stats_.last_what = what;
-    DGR_ERROR("proc audit violation (cycle %llu): %s",
-              (unsigned long long)cyc, what.c_str());
-  };
-  if (audit_opt_.check_invariants) {
-    // Same safe point as the threaded engine, reached differently: every
-    // worker's kMarkReport for the wave has been merged, so the
-    // authoritative graph holds the complete terminated marking.
-    for (const Plane plane : {Plane::kR, Plane::kT}) {
-      if (!marker_->active(plane) || !marker_->done(plane)) continue;
-      if (marker_->cycle_tainted(plane)) continue;
-      const InvariantReport rep =
-          check_marking_invariants(g_, *marker_, plane, {});
-      if (!rep.ok) fail(rep.what);
-    }
-  }
-  if (audit_opt_.check_accounting) {
-    const AccountingReport acc = check_heap_accounting(g_, *marker_);
-    if (!acc.ok) {
-      fail(acc.what);
-    } else if (marker_->active(Plane::kR) && marker_->done(Plane::kR)) {
-      audit_expected_gar_ = acc.gar;
-      audit_swept_check_ = true;
-    }
-  }
+void ProcEngine::quiesce_begin() {
+  // Same safe point as the threaded engine, reached differently: every
+  // worker's kMarkReport for the wave has been merged, so the authoritative
+  // graph holds the complete terminated marking.
+  auditor_.quiesce_begin(controller_->cycles_completed() + 1);
 }
 
 void ProcEngine::on_cycle_complete(const CycleResult& res) {
-  if (!audit_swept_check_) return;
-  audit_swept_check_ = false;
-  if (res.swept != audit_expected_gar_) {
-    ++audit_stats_.violations;
-    audit_stats_.last_what =
-        "Property 1 violated: swept " + std::to_string(res.swept) +
-        " != GAR' " + std::to_string(audit_expected_gar_);
-    DGR_ERROR("proc audit violation (cycle %llu): %s",
-              (unsigned long long)res.cycle, audit_stats_.last_what.c_str());
-  }
+  auditor_.on_cycle_complete(res);
+  // The restructure runs under mu_ on the hub reader thread that merged the
+  // last report; taking it here (recursively) keeps the notify ordered with
+  // wait_quiescent's predicate check wherever the cycle completed.
+  std::lock_guard<std::recursive_mutex> lk(mu_);
+  idle_cv_.notify_all();
+}
+
+HealthReport ProcEngine::health() const {
+  HealthReport r;
+  for (std::size_t i = 0; i < obs::kNumHealthKinds; ++i)
+    r.warnings[i] = health_[i].load(std::memory_order_relaxed);
+  return r;
 }
 
 obs::TraceBuffer* ProcEngine::enable_trace(std::size_t capacity) {
@@ -764,6 +718,7 @@ obs::TraceBuffer* ProcEngine::enable_trace(std::size_t capacity) {
     marker_->set_trace(trace_.get());
     mutator_->set_trace(trace_.get());
     controller_->set_trace(trace_.get());
+    auditor_.set_trace(trace_.get());
     worker_trace_ = true;
     trace_capacity_ = static_cast<std::uint32_t>(capacity);
   }

@@ -25,6 +25,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -33,6 +34,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/audit.h"
 #include "core/controller.h"
 #include "core/cooperation.h"
 #include "core/marker.h"
@@ -42,7 +44,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
-#include "runtime/thread_engine.h"  // AuditOptions / AuditStats
 
 namespace dgr {
 
@@ -90,7 +91,7 @@ struct ProcEngineStats {
   TransportStats transport;           // hub-side socket counters
 };
 
-class ProcEngine final : public TaskSink, public EngineHooks {
+class ProcEngine final : public TaskSink, public PoolSet {
  public:
   explicit ProcEngine(Graph& g, ProcOptions opt = {});
   ~ProcEngine() override;
@@ -117,8 +118,9 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // from racing the cycle's task-root construction.
   void start_cycle(const CycleOptions& opt = {});
 
-  // Block until the controller is idle (no cycle in progress) and no
-  // membership recovery is mid-flight.
+  // Block until the controller is idle (no cycle in progress) or the run
+  // failed. Evaluated under the engine lock, so a membership recovery's
+  // abort-then-restart (held under that lock throughout) never looks idle.
   void wait_quiescent();
   void wait_cycle_done();
 
@@ -141,12 +143,7 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // ---- TaskSink (controller-side marker: wave seeds only) ----
   void spawn(Task t) override;
 
-  // ---- EngineHooks ----
-  void collect_task_refs(std::vector<TaskRef>& out) override;
-  std::size_t expunge_tasks(
-      const std::function<bool(const Task&)>& kill) override;
-  std::size_t reprioritize_tasks(
-      const std::function<std::uint8_t(const Task&)>& prio) override;
+  // ---- EngineHooks (the pool hooks come from PoolSet) ----
   void quiesce_begin() override;
   void on_cycle_complete(const CycleResult& res) override;
   void on_plane_begin(Plane p) override;
@@ -158,10 +155,12 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   void atomically(std::span<const VertexId> vs,
                   const std::function<void()>& fn);
 
-  // Safe-point auditing inside the restructuring window (same checks as
-  // ThreadEngine: §5.4.1 invariants + Property 1 accounting + swept==GAR').
-  void enable_audit(AuditOptions opt = {});
-  const AuditStats& audit_stats() const { return audit_stats_; }
+  // Safe-point auditing (core/audit.h) inside the restructuring window,
+  // once every worker's mark report for the wave has been merged.
+  void enable_audit(AuditOptions opt = {}) { auditor_.enable(opt); }
+  const AuditStats& audit_stats() const { return auditor_.stats(); }
+  // Health warnings raised so far (audit violations).
+  HealthReport health() const;
 
   // Controller-side trace ring. Call BEFORE start(): the same call arms
   // worker-side capture (each worker's kRegisterAck config carries
@@ -231,7 +230,8 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // every worker after registration and again at each plane begin, so the
   // estimate tightens as the run warms up (min-RTT sample wins).
   void send_clock_probe(std::uint32_t worker);
-  void maybe_audit();
+  // The run cannot continue; wakes wait_quiescent().
+  void set_failed();
   std::uint64_t now_us() const {
     return static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::microseconds>(
@@ -257,6 +257,8 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   bool started_ = false;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> failed_{false};
+  // Signalled (under mu_) when a cycle completes or the run fails.
+  std::condition_variable_any idle_cv_;
 
   // Plane-begin staging: on_plane_begin ships handoffs pre-epoch-bump; the
   // first seed spawn afterwards broadcasts kPlaneBegin with the bumped
@@ -280,7 +282,6 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   // policy, which runs under the hub lock only (lock order: mu_ → hub).
   std::uint16_t gen_ = 0;
   std::atomic<std::uint64_t> dead_mask_{0};
-  std::atomic<bool> recovering_{false};
 
   // ---- Differential handoffs ----
   HandoffTracker tracker_;
@@ -300,14 +301,9 @@ class ProcEngine final : public TaskSink, public EngineHooks {
   std::vector<std::uint64_t> probe_snapshot_;  // clock samples at probe time
   std::uint64_t probe_deadline_us_ = 0;
 
-  std::vector<std::unique_ptr<TaskPool>> pools_;
-
   ProcEngineStats stats_;
-  AuditOptions audit_opt_;
-  bool audit_enabled_ = false;
-  AuditStats audit_stats_;
-  bool audit_swept_check_ = false;
-  std::size_t audit_expected_gar_ = 0;
+  SafePointAuditor auditor_;
+  std::atomic<std::uint64_t> health_[obs::kNumHealthKinds] = {};
 
   std::unique_ptr<obs::TraceBuffer> trace_;
   // Worker-side capture request recorded by enable_trace, read by

@@ -11,12 +11,12 @@ std::size_t task_wire_size(const Task& t) {
 }
 
 SimEngine::SimEngine(Graph& g, SimOptions opt)
-    : g_(g), opt_(opt), rng_(opt.seed), reg_(g.num_pes()) {
+    : PoolSet(g.num_pes()), g_(g), opt_(opt), rng_(opt.seed),
+      reg_(g.num_pes()) {
   marker_ = std::make_unique<Marker>(g_, *this);
   mutator_ = std::make_unique<Mutator>(g_, *marker_);
   controller_ =
       std::make_unique<Controller>(g_, *marker_, *this, VertexId::invalid());
-  pools_.resize(g_.num_pes());
   mark_q_.resize(g_.num_pes());
 }
 
@@ -79,7 +79,7 @@ void SimEngine::enqueue_delivered(Task t) {
     mark_q_[dst].push_back(std::move(t));
     ++mark_pending_;
   } else {
-    pools_[dst].push(std::move(t));
+    pool_at(dst).push(std::move(t));
   }
 }
 
@@ -102,7 +102,7 @@ bool SimEngine::quiescent() const {
 
 std::size_t SimEngine::pending_reduction() const {
   std::size_t n = 0;
-  for (const auto& p : pools_) n += p.size();
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe) n += pool_at(pe).size();
   return n;
 }
 
@@ -127,7 +127,7 @@ bool SimEngine::step() {
   if (cycle_active && mark_pending_ > 0 && tax_due_ > 0) run_reduction = false;
   for (PeId pe = 0; pe < g_.num_pes() && n + 2 <= 256; ++pe) {
     if (!mark_q_[pe].empty()) cands[n++] = {pe, true};
-    if (run_reduction && !pools_[pe].empty()) cands[n++] = {pe, false};
+    if (run_reduction && !pool_at(pe).empty()) cands[n++] = {pe, false};
   }
   if (n == 0) {
     // Nothing executable. If messages are still in flight, idle-tick until
@@ -143,7 +143,7 @@ bool SimEngine::step() {
     if (!static_cast<bool>(reducer_)) return false;
     // Only taxed-out reduction candidates remain.
     for (PeId pe = 0; pe < g_.num_pes() && n < 256; ++pe)
-      if (!pools_[pe].empty()) cands[n++] = {pe, false};
+      if (!pool_at(pe).empty()) cands[n++] = {pe, false};
     if (n == 0) return false;
   }
   const Cand c = cands[rng_.below(n)];
@@ -161,7 +161,7 @@ bool SimEngine::step() {
                    static_cast<double>(mark_q_[c.pe].size()));
     else
       reg_.observe(c.pe, obs::Hist::kPoolDepth,
-                   static_cast<double>(pools_[c.pe].size()));
+                   static_cast<double>(pool_at(c.pe).size()));
   }
 
   Task t;
@@ -173,7 +173,7 @@ bool SimEngine::step() {
     q.pop_back();
     --mark_pending_;
   } else {
-    t = pools_[c.pe].pop(&rng_);
+    t = pool_at(c.pe).pop(&rng_);
   }
   execute(t);
   ++steps_;
@@ -242,8 +242,7 @@ std::uint64_t SimEngine::run_until_cycle_done(std::uint64_t max_steps) {
 }
 
 void SimEngine::collect_task_refs(std::vector<TaskRef>& out) {
-  for (const auto& p : pools_)
-    p.for_each([&](const Task& t) { out.push_back(TaskRef{t.s, t.d}); });
+  PoolSet::collect_task_refs(out);
   // In-transit reduction tasks are tasks too (§5.2's in-transit problem).
   for (const InFlight& f : flight_)
     if (!task_is_marking(f.t.kind)) out.push_back(TaskRef{f.t.s, f.t.d});
@@ -251,8 +250,7 @@ void SimEngine::collect_task_refs(std::vector<TaskRef>& out) {
 
 std::size_t SimEngine::expunge_tasks(
     const std::function<bool(const Task&)>& kill) {
-  std::size_t n = 0;
-  for (auto& p : pools_) n += p.expunge(kill);
+  std::size_t n = PoolSet::expunge_tasks(kill);
   for (std::size_t i = 0; i < flight_.size();) {
     if (!task_is_marking(flight_[i].t.kind) && kill(flight_[i].t)) {
       flight_[i] = std::move(flight_.back());
@@ -267,8 +265,7 @@ std::size_t SimEngine::expunge_tasks(
 
 std::size_t SimEngine::reprioritize_tasks(
     const std::function<std::uint8_t(const Task&)>& prio) {
-  std::size_t n = 0;
-  for (auto& p : pools_) n += p.reprioritize(prio);
+  std::size_t n = PoolSet::reprioritize_tasks(prio);
   for (InFlight& f : flight_) {
     if (task_is_marking(f.t.kind)) continue;
     const std::uint8_t p = prio(f.t);

@@ -68,7 +68,7 @@ struct SimMetrics {
   std::uint64_t bytes_sent = 0;  // wire-size estimate of remote messages
 };
 
-class SimEngine final : public TaskSink, public EngineHooks {
+class SimEngine final : public TaskSink, public PoolSet {
  public:
   explicit SimEngine(Graph& g, SimOptions opt = {});
   ~SimEngine() override;
@@ -124,10 +124,10 @@ class SimEngine final : public TaskSink, public EngineHooks {
   std::size_t pending_marking() const;
 
   // Introspection for tests/benches.
-  const TaskPool& pool(PeId pe) const { return pools_[pe]; }
+  const TaskPool& pool(PeId pe) const { return pool_at(pe); }
   std::size_t in_flight() const { return flight_.size(); }
 
-  // ---- EngineHooks ----
+  // ---- EngineHooks: PoolSet's pool hooks plus the in-flight messages ----
   void collect_task_refs(std::vector<TaskRef>& out) override;
   std::size_t expunge_tasks(
       const std::function<bool(const Task&)>& kill) override;
@@ -150,8 +150,7 @@ class SimEngine final : public TaskSink, public EngineHooks {
   std::unique_ptr<CompactCollector> compact_collector_;
   Reducer reducer_;
 
-  std::vector<TaskPool> pools_;               // reduction tasks, per PE
-  std::vector<std::vector<Task>> mark_q_;     // marking tasks, per PE
+  std::vector<std::vector<Task>> mark_q_;  // marking tasks, per PE
   struct InFlight {
     Task t;
     std::uint64_t due;  // step count at which the message arrives

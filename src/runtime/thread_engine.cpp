@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <shared_mutex>
 
-#include "core/invariants.h"
 #include "net/socket_transport.h"
 #include "net/wire.h"
 #include "obs/trace.h"
-#include "util/log.h"
 
 namespace dgr {
 
@@ -23,12 +21,17 @@ std::shared_mutex& mutation_gate() {
 }  // namespace
 
 ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
-    : g_(g),
+    : PoolSet(g.num_pes()),
+      g_(g),
+      marker_(std::make_unique<Marker>(g_, *this)),
       net_(net),
       locks_(4096),
       reg_(g.num_pes()),
-      t0_(std::chrono::steady_clock::now()) {
-  marker_ = std::make_unique<Marker>(g_, *this);
+      t0_(std::chrono::steady_clock::now()),
+      auditor_(g_, *marker_,
+               [this](obs::HealthKind kind, std::uint64_t detail) {
+                 warn(kind, 0, detail);
+               }) {
   mutator_ = std::make_unique<Mutator>(g_, *marker_);
   controller_ =
       std::make_unique<Controller>(g_, *marker_, *this, VertexId::invalid());
@@ -46,10 +49,6 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
     auto st = std::make_unique<SocketTransport>(g_.num_pes(), addr);
     DGR_CHECK_MSG(st->ok(), "socket transport failed to come up");
     transport_ = std::move(st);
-  }
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-    pools_.push_back(std::make_unique<TaskPool>());
-    pool_mu_.push_back(std::make_unique<std::mutex>());
   }
   out_.resize(g_.num_pes());
   for (auto& row : out_) row.resize(g_.num_pes());
@@ -313,11 +312,7 @@ void ThreadEngine::flush_outgoing(PeId pe, bool force) {
   }
 }
 
-void ThreadEngine::inject(Task t) {
-  const PeId pe = t.d.pe;
-  std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-  pools_[pe]->push(std::move(t));
-}
+void ThreadEngine::inject(Task t) { pool_push(std::move(t)); }
 
 void ThreadEngine::pe_loop(PeId pe) {
   tl_pe = static_cast<int>(pe);
@@ -510,7 +505,7 @@ void ThreadEngine::quiesce_begin() {
   // Safe point: every PE is parked, both planes have terminated with their
   // marks still unconsumed, no marking task is in flight — the one globally
   // consistent state the concurrent engine reaches. Audit here.
-  maybe_audit();
+  auditor_.quiesce_begin(controller_->cycles_completed() + 1);
 }
 
 void ThreadEngine::quiesce_end() {
@@ -525,39 +520,6 @@ void ThreadEngine::wait_quiescent() {
 
 void ThreadEngine::wait_cycle_done() {
   while (!controller_->idle()) std::this_thread::yield();
-}
-
-void ThreadEngine::collect_task_refs(std::vector<TaskRef>& out) {
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-    std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    pools_[pe]->for_each(
-        [&](const Task& t) { out.push_back(TaskRef{t.s, t.d}); });
-  }
-}
-
-std::size_t ThreadEngine::expunge_tasks(
-    const std::function<bool(const Task&)>& kill) {
-  std::size_t n = 0;
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-    std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    n += pools_[pe]->expunge(kill);
-  }
-  return n;
-}
-
-std::size_t ThreadEngine::reprioritize_tasks(
-    const std::function<std::uint8_t(const Task&)>& prio) {
-  std::size_t n = 0;
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-    std::lock_guard<std::mutex> lk(*pool_mu_[pe]);
-    n += pools_[pe]->reprioritize(prio);
-  }
-  return n;
-}
-
-void ThreadEngine::enable_audit(AuditOptions opt) {
-  audit_opt_ = opt;
-  audit_enabled_ = opt.period > 0;
 }
 
 void ThreadEngine::enable_watchdog(WatchdogOptions opt) {
@@ -579,64 +541,6 @@ void ThreadEngine::warn(obs::HealthKind kind, std::uint16_t pe,
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kHealthWarning, Plane::kR, pe,
                   controller_->cycles_completed() + 1,
                   static_cast<std::uint64_t>(kind), detail);
-}
-
-void ThreadEngine::maybe_audit() {
-  audit_swept_check_ = false;
-  if (!audit_enabled_) return;
-  const std::uint64_t cyc = controller_->cycles_completed() + 1;
-  if (cyc % audit_opt_.period != 0) return;
-  ++audit_stats_.audits;
-  std::uint64_t violations = 0;
-  auto fail = [&](const std::string& what) {
-    ++violations;
-    ++audit_stats_.violations;
-    audit_stats_.last_what = what;
-    DGR_ERROR("audit violation (cycle %llu): %s", (unsigned long long)cyc,
-              what.c_str());
-    warn(obs::HealthKind::kAuditViolation, 0, audit_stats_.audits);
-  };
-  if (audit_opt_.check_invariants) {
-    // Both planes have terminated (done) with marks intact; the pending task
-    // multiset is empty — the wave's termination detection guarantees every
-    // spawned marking task has executed.
-    for (const Plane plane : {Plane::kR, Plane::kT}) {
-      if (!marker_->active(plane) || !marker_->done(plane)) continue;
-      if (marker_->cycle_tainted(plane)) continue;
-      const InvariantReport rep =
-          check_marking_invariants(g_, *marker_, plane, {});
-      if (!rep.ok) fail(rep.what);
-    }
-  }
-  std::uint64_t gar = 0;
-  if (audit_opt_.check_accounting) {
-    const AccountingReport acc = check_heap_accounting(g_, *marker_);
-    if (!acc.ok) {
-      fail(acc.what);
-    } else if (marker_->active(Plane::kR) && marker_->done(Plane::kR)) {
-      // GAR' is frozen until the sweep (the mutation gate is held): the
-      // restructure about to run must free exactly this many vertices.
-      audit_expected_gar_ = acc.gar;
-      audit_swept_check_ = true;
-    }
-    gar = acc.gar;
-  }
-  DGR_TRACE_EVENT(trace_.get(), obs::EventType::kAudit, Plane::kR, 0, cyc,
-                  violations, gar);
-}
-
-void ThreadEngine::on_cycle_complete(const CycleResult& res) {
-  if (!audit_swept_check_) return;
-  audit_swept_check_ = false;
-  if (res.swept != audit_expected_gar_) {
-    ++audit_stats_.violations;
-    audit_stats_.last_what =
-        "Property 1 violated: swept " + std::to_string(res.swept) +
-        " != GAR' " + std::to_string(audit_expected_gar_);
-    DGR_ERROR("audit violation (cycle %llu): %s",
-              (unsigned long long)res.cycle, audit_stats_.last_what.c_str());
-    warn(obs::HealthKind::kAuditViolation, 0, audit_stats_.audits);
-  }
 }
 
 void ThreadEngine::watchdog_loop() {
@@ -713,6 +617,7 @@ obs::TraceBuffer* ThreadEngine::enable_trace(std::size_t capacity) {
     marker_->set_trace(trace_.get());
     mutator_->set_trace(trace_.get());
     controller_->set_trace(trace_.get());
+    auditor_.set_trace(trace_.get());
   }
   return trace_.get();
 #else

@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/audit.h"
 #include "core/controller.h"
 #include "core/cooperation.h"
 #include "core/marker.h"
@@ -127,25 +128,6 @@ struct ThreadEngineStats {
   std::uint64_t edges_total = 0;         // all arg edges at start()
 };
 
-// Safe-point auditing (§5.4.1 invariants + Property 1 accounting on the live
-// concurrent graph). The audit runs inside the restructuring quiesce window
-// every `period` cycles: all PE threads are parked, both planes have
-// terminated but their marks are not yet consumed, and no marking task is in
-// flight — the one globally consistent state the threaded engine ever
-// reaches. Violations are counted, logged, and emitted as health_warning
-// trace events; they never abort (CI decides via dgr_run --health-fatal).
-struct AuditOptions {
-  std::uint32_t period = 1;      // audit every Nth cycle (0 disables)
-  bool check_invariants = true;  // marking invariants 1-3 on terminated planes
-  bool check_accounting = true;  // Property 1: GAR = V − R − F, R ∩ F = ∅
-};
-
-struct AuditStats {
-  std::uint64_t audits = 0;      // safe-point audits executed
-  std::uint64_t violations = 0;  // failed checks (invariant or accounting)
-  std::string last_what;         // human-readable description of the latest
-};
-
 // Online health monitoring: a watchdog thread samples the metrics registry,
 // the controller and the mailboxes every `interval_ms` and flags
 //   - a marking wave with no front progress for `stall_samples` samples,
@@ -160,16 +142,7 @@ struct WatchdogOptions {
   std::uint64_t rescue_storm = 64;
 };
 
-struct HealthReport {
-  std::uint64_t warnings[obs::kNumHealthKinds] = {};
-  std::uint64_t total() const {
-    std::uint64_t n = 0;
-    for (std::uint64_t w : warnings) n += w;
-    return n;
-  }
-};
-
-class ThreadEngine final : public TaskSink, public EngineHooks {
+class ThreadEngine final : public TaskSink, public PoolSet {
  public:
   explicit ThreadEngine(Graph& g, NetOptions net = {});
   ~ThreadEngine() override;
@@ -206,19 +179,17 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   bool admit_mark(Plane plane, VertexId child, std::uint8_t prior,
                   std::uint64_t epoch) override;
 
-  // ---- EngineHooks ----
-  void collect_task_refs(std::vector<TaskRef>& out) override;
-  std::size_t expunge_tasks(
-      const std::function<bool(const Task&)>& kill) override;
-  std::size_t reprioritize_tasks(
-      const std::function<std::uint8_t(const Task&)>& prio) override;
+  // ---- EngineHooks (the pool hooks come from PoolSet) ----
   void quiesce_begin() override;
   void quiesce_end() override;
-  void on_cycle_complete(const CycleResult& res) override;
+  void on_cycle_complete(const CycleResult& res) override {
+    auditor_.on_cycle_complete(res);
+  }
 
-  // Enable safe-point auditing (see AuditOptions). Call before start().
-  void enable_audit(AuditOptions opt = {});
-  const AuditStats& audit_stats() const { return audit_stats_; }
+  // Enable safe-point auditing (core/audit.h) inside the restructuring
+  // quiesce window, where every PE thread is parked. Call before start().
+  void enable_audit(AuditOptions opt = {}) { auditor_.enable(opt); }
+  const AuditStats& audit_stats() const { return auditor_.stats(); }
 
   // Arm the stall watchdog (see WatchdogOptions). Call before start(); the
   // monitor thread lives from start() to stop().
@@ -279,8 +250,6 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   }
   void watchdog_loop();
   void warn(obs::HealthKind kind, std::uint16_t pe, std::uint64_t detail);
-  // Runs inside the quiesce window (all PEs parked, marks unconsumed).
-  void maybe_audit();
   std::uint32_t lock_index(VertexId v) const {
     return static_cast<std::uint32_t>(VertexIdHash{}(v) % locks_.size());
   }
@@ -324,18 +293,19 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   NetOptions net_;
   std::unique_ptr<FaultPlane> fault_;
   std::unique_ptr<ChannelManager> chan_;
-  std::vector<std::unique_ptr<TaskPool>> pools_;  // inert reduction tasks
-  std::vector<std::unique_ptr<std::mutex>> pool_mu_;
 
   std::vector<std::atomic_flag> locks_;
 
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};
-  std::atomic<std::uint64_t> outstanding_{0};  // spawned, not yet executed
+  // Spawned, not yet executed. Every spawn and every execution on every PE
+  // writes it, so it has a cache line to itself: sharing one would make each
+  // of those writes evict members every task reads (locks_, reg_, pause_).
+  alignas(64) std::atomic<std::uint64_t> outstanding_{0};
 
   // Quiesce protocol: a pauser raises `pause_`; every other PE thread parks
   // and reports in via `parked_`.
-  std::atomic<bool> pause_{false};
+  alignas(64) std::atomic<bool> pause_{false};
   std::atomic<std::uint32_t> parked_{0};
   std::atomic_flag restructure_claim_ = ATOMIC_FLAG_INIT;
 
@@ -343,13 +313,7 @@ class ThreadEngine final : public TaskSink, public EngineHooks {
   std::unique_ptr<obs::TraceBuffer> trace_;
   std::chrono::steady_clock::time_point t0_;
 
-  // ---- Safe-point audit (mutated only inside the quiesce window, by the
-  // single restructuring thread; read externally after stop()). ----
-  AuditOptions audit_opt_;
-  bool audit_enabled_ = false;
-  AuditStats audit_stats_;
-  bool audit_swept_check_ = false;  // cross-check swept vs GAR' this cycle
-  std::size_t audit_expected_gar_ = 0;
+  SafePointAuditor auditor_;
 
   // ---- Watchdog ----
   WatchdogOptions wd_opt_;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <type_traits>
 
 #include "runtime/proc_engine.h"
 #include "runtime/sim_engine.h"
@@ -196,26 +197,39 @@ class SimDriverEngine final : public DriverEngine {
   SimEngine& eng_;
 };
 
-class ThreadDriverEngine final : public DriverEngine {
+// ThreadEngine and ProcEngine: each mutation runs in the engine's atomic
+// section, and the two differ only in how cycles overlap the mutators.
+template <typename Eng>
+class GatedDriverEngine final : public DriverEngine {
+  static constexpr bool kProc = std::is_same_v<Eng, ProcEngine>;
+
  public:
-  explicit ThreadDriverEngine(ThreadEngine& eng) : eng_(eng) {}
-  const char* name() const override { return "thread"; }
-  Concurrency concurrency() const override { return Concurrency::kOverlapped; }
+  explicit GatedDriverEngine(Eng& eng) : eng_(eng) {}
+  const char* name() const override { return kProc ? "proc" : "thread"; }
+  Concurrency concurrency() const override {
+    return kProc ? Concurrency::kBarrier : Concurrency::kOverlapped;
+  }
   Graph& graph() override { return eng_.graph(); }
   Controller& controller() override { return eng_.controller(); }
   obs::MetricsRegistry& registry() override {
-    return eng_.metrics_registry();
+    if constexpr (kProc) {
+      // The controller-side merged registry is const-only; driver-side
+      // counters live there too, so cast away the read-only facade.
+      return const_cast<obs::MetricsRegistry&>(eng_.metrics());
+    } else {
+      return eng_.metrics_registry();
+    }
   }
   obs::TraceBuffer* trace() override { return eng_.trace(); }
 
   std::uint64_t mutate(std::span<const VertexId> vs,
                        const MutateFn& fn) override {
     // The stall sample: time from submission to fn entry — the wait for the
-    // mutation gate (held exclusively through restructuring) plus the
-    // touch set's stripe locks, i.e. exactly the time this op was blocked
-    // on collector cooperation. The section also covers allocation: the
-    // gate excludes the sweep, so a fresh unreachable vertex cannot be
-    // reclaimed before expand_node shades it.
+    // mutation gate (held exclusively through restructuring; the engine
+    // lock on proc) plus the touch set's stripe locks, i.e. exactly the time
+    // this op was blocked on collector cooperation. The section also covers
+    // allocation: the gate excludes the sweep, so a fresh unreachable vertex
+    // cannot be reclaimed before expand_node shades it.
     const auto t0 = std::chrono::steady_clock::now();
     std::uint64_t stall = 0;
     eng_.atomically(vs, [&] {
@@ -226,50 +240,19 @@ class ThreadDriverEngine final : public DriverEngine {
   }
   void inject(Task t) override { eng_.inject(std::move(t)); }
   void start_cycle(const CycleOptions& opt) override {
-    eng_.controller().start_cycle(opt);
+    if constexpr (kProc) {
+      // The engine wrapper, not controller().start_cycle(): it excludes the
+      // membership-recovery path from racing task-root construction.
+      eng_.start_cycle(opt);
+    } else {
+      eng_.controller().start_cycle(opt);
+    }
   }
   void wait_cycle_done() override { eng_.wait_cycle_done(); }
   void wait_quiescent() override { eng_.wait_quiescent(); }
 
  private:
-  ThreadEngine& eng_;
-};
-
-class ProcDriverEngine final : public DriverEngine {
- public:
-  explicit ProcDriverEngine(ProcEngine& eng) : eng_(eng) {}
-  const char* name() const override { return "proc"; }
-  Concurrency concurrency() const override { return Concurrency::kBarrier; }
-  Graph& graph() override { return eng_.graph(); }
-  Controller& controller() override { return eng_.controller(); }
-  obs::MetricsRegistry& registry() override {
-    // The controller-side merged registry is const-only; driver-side
-    // counters live there too, so cast away the read-only facade.
-    return const_cast<obs::MetricsRegistry&>(eng_.metrics());
-  }
-  obs::TraceBuffer* trace() override { return eng_.trace(); }
-
-  std::uint64_t mutate(std::span<const VertexId> vs,
-                       const MutateFn& fn) override {
-    const auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t stall = 0;
-    eng_.atomically(vs, [&] {
-      stall = us_between(t0, std::chrono::steady_clock::now());
-      fn(eng_.graph(), eng_.mutator());
-    });
-    return stall;
-  }
-  void inject(Task t) override { eng_.inject(std::move(t)); }
-  void start_cycle(const CycleOptions& opt) override {
-    // The engine wrapper, not controller().start_cycle(): it excludes the
-    // membership-recovery path from racing task-root construction.
-    eng_.start_cycle(opt);
-  }
-  void wait_cycle_done() override { eng_.wait_cycle_done(); }
-  void wait_quiescent() override { eng_.wait_quiescent(); }
-
- private:
-  ProcEngine& eng_;
+  Eng& eng_;
 };
 
 }  // namespace
@@ -278,10 +261,10 @@ std::unique_ptr<DriverEngine> make_driver(SimEngine& eng) {
   return std::make_unique<SimDriverEngine>(eng);
 }
 std::unique_ptr<DriverEngine> make_driver(ThreadEngine& eng) {
-  return std::make_unique<ThreadDriverEngine>(eng);
+  return std::make_unique<GatedDriverEngine<ThreadEngine>>(eng);
 }
 std::unique_ptr<DriverEngine> make_driver(ProcEngine& eng) {
-  return std::make_unique<ProcDriverEngine>(eng);
+  return std::make_unique<GatedDriverEngine<ProcEngine>>(eng);
 }
 
 // ---- SessionDriver ----

@@ -5,10 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
+#include <map>
+#include <tuple>
 #include <unordered_set>
 
 #include "graph/builder.h"
 #include "graph/oracle.h"
+#include "runtime/pool.h"
 #include "runtime/sim_engine.h"
 
 namespace dgr {
@@ -114,6 +118,78 @@ TEST(Sec42Race, AddReferenceAfterParentMarkedUsesTransientHelper) {
   eng.run_until_cycle_done(100000);
   EXPECT_TRUE(eng.marker().is_marked(Plane::kR, e));
   EXPECT_FALSE(g.is_free(e));
+}
+
+// ---- Boundary summary: a marked parent above an unmarked child. ----
+//
+// A FIFO engine with a boundary summary (TaskSink::admit_mark) that admits
+// one mark per vertex, priority and wave, as ThreadEngine's does for remote
+// children. A parent whose mark to x is vetoed completes at once, so it can
+// be marked while x's admitted mark from another parent is still queued.
+class SummaryEngine final : public TaskSink, public PoolSet {
+ public:
+  explicit SummaryEngine(Graph& g)
+      : PoolSet(g.num_pes()),
+        marker(g, *this),
+        mutator(g, marker),
+        controller(g, marker, *this, VertexId::invalid()) {}
+
+  void spawn(Task t) override { queue.push_back(std::move(t)); }
+  bool admit_mark(Plane plane, VertexId child, std::uint8_t prior,
+                  std::uint64_t epoch) override {
+    auto [it, fresh] =
+        sent.try_emplace({child.pack(), epoch, plane == Plane::kR}, prior);
+    if (!fresh && prior <= it->second) return false;
+    it->second = prior;
+    return true;
+  }
+  bool step() {
+    if (queue.empty()) return false;
+    const Task t = queue.front();
+    queue.pop_front();
+    marker.exec(t);
+    return true;
+  }
+
+  std::deque<Task> queue;
+  std::map<std::tuple<std::uint64_t, std::uint64_t, bool>, std::uint8_t> sent;
+  Marker marker;
+  Mutator mutator;
+  Controller controller;
+};
+
+TEST(BoundarySummary, MarkedParentOverVetoedChildQueuesRescue) {
+  // r → p → x and r → a → x, x → c. FIFO order marks p first, so a's mark to
+  // x is vetoed and a is marked while mark(x) is still queued. Then a gains
+  // c (via x) and x drops it: only a now reaches c, and a is done marking.
+  Graph g(1, 16);
+  const VertexId r = g.alloc(0, OpCode::kData);
+  const VertexId p = g.alloc(0, OpCode::kData);
+  const VertexId a = g.alloc(0, OpCode::kData);
+  const VertexId x = g.alloc(0, OpCode::kData);
+  const VertexId c = g.alloc(0, OpCode::kData);
+  connect(g, r, p, ReqKind::kVital);
+  connect(g, r, a, ReqKind::kVital);
+  connect(g, p, x, ReqKind::kVital);
+  connect(g, a, x, ReqKind::kVital);
+  connect(g, x, c, ReqKind::kVital);
+
+  SummaryEngine eng(g);
+  eng.controller.set_root(r);
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller.start_cycle(copt);
+  while (!eng.marker.is_marked(Plane::kR, a)) ASSERT_TRUE(eng.step());
+  ASSERT_TRUE(eng.marker.is_unmarked(Plane::kR, x));
+
+  eng.mutator.add_reference(a, x, c, ReqKind::kVital);
+  eng.mutator.delete_reference(x, c);
+  while (!eng.controller.idle()) ASSERT_TRUE(eng.step());
+
+  EXPECT_GE(eng.marker.rescue_waves(Plane::kR), 1u);
+  EXPECT_TRUE(eng.marker.is_marked(Plane::kR, c));
+  EXPECT_FALSE(g.is_free(c));
+  EXPECT_EQ(eng.controller.last().swept, 0u);
 }
 
 // ---- Randomized concurrent mutator vs Theorem 1 (E5). ----

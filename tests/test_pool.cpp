@@ -41,7 +41,11 @@ TEST(TaskPool, ExpungeByPredicate) {
       p.expunge([](const Task& t) { return t.d.idx % 2 == 0; });
   EXPECT_EQ(killed, 5u);
   EXPECT_EQ(p.size(), 5u);
-  while (!p.empty()) EXPECT_EQ(p.pop().d.idx % 2, 1u);
+  // Survivors keep their bucket and their order within it: vital 5, eager
+  // 1 then 7, reserve 3 then 9.
+  for (const std::uint32_t want : {5u, 1u, 7u, 3u, 9u})
+    EXPECT_EQ(p.pop().d.idx, want);
+  EXPECT_TRUE(p.empty());
 }
 
 TEST(TaskPool, ReprioritizeMovesBuckets) {
@@ -52,11 +56,33 @@ TEST(TaskPool, ReprioritizeMovesBuckets) {
       [](const Task& t) { return t.d.idx % 2 == 0 ? std::uint8_t{3}
                                                   : std::uint8_t{1}; });
   EXPECT_EQ(moved, 3u);
-  // Vital ones come out first now.
-  EXPECT_EQ(p.pop().d.idx % 2, 0u);
-  EXPECT_EQ(p.pop().d.idx % 2, 0u);
-  EXPECT_EQ(p.pop().d.idx % 2, 0u);
-  EXPECT_EQ(p.pop().d.idx % 2, 1u);
+  // Vital ones come out first now, movers and stayers each in their old
+  // order.
+  for (const std::uint32_t want : {0u, 2u, 4u, 1u, 3u, 5u})
+    EXPECT_EQ(p.pop().d.idx, want);
+  EXPECT_TRUE(p.empty());
+}
+
+TEST(TaskPool, ReprioritizeAppendsMoversInBucketOrder) {
+  TaskPool p;
+  p.push(mk(3, 0));
+  p.push(mk(1, 1));
+  p.push(mk(2, 2));
+  p.push(mk(1, 3));
+  p.push(mk(2, 4));
+  p.push(mk(3, 5));
+  // Everything becomes vital except 5, which drops to reserve. Movers land
+  // behind the tasks already in their new bucket: reserve's first, then
+  // eager's.
+  const std::size_t moved = p.reprioritize([](const Task& t) {
+    return t.d.idx == 5 ? std::uint8_t{1} : std::uint8_t{3};
+  });
+  EXPECT_EQ(moved, 5u);
+  for (const std::uint32_t want : {0u, 1u, 3u, 2u, 4u, 5u}) {
+    const Task t = p.pop();
+    EXPECT_EQ(t.d.idx, want);
+    EXPECT_EQ(t.pool_prior, want == 5 ? 1 : 3);
+  }
 }
 
 TEST(TaskPool, ReprioritizeStableWhenUnchanged) {

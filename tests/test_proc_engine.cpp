@@ -130,6 +130,7 @@ class ProcRig {
 
 TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   RigParams rp;
+  rp.trace = true;
   ProcOptions popt;
   popt.workers = 2;
   ProcRig rig(rp, popt);
@@ -144,6 +145,17 @@ TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   EXPECT_GT(rig.eng().audit_stats().audits, 0u);
   EXPECT_EQ(rig.eng().audit_stats().violations, 0u)
       << rig.eng().audit_stats().last_what;
+  EXPECT_EQ(rig.eng().health().total(), 0u);
+#if DGR_TRACE_ENABLED
+  // Each safe-point audit shows in the controller trace, as on ThreadEngine.
+  const std::vector<obs::TraceEvent> ev = rig.eng().trace()->snapshot();
+  EXPECT_EQ(static_cast<std::uint64_t>(std::count_if(
+                ev.begin(), ev.end(),
+                [](const obs::TraceEvent& e) {
+                  return e.type == obs::EventType::kAudit;
+                })),
+            rig.eng().audit_stats().audits);
+#endif
   // Protocol accounting: every plane shipped one handoff per worker and the
   // waves really crossed the wire.
   const ProcEngineStats s = rig.eng().stats();
@@ -153,6 +165,52 @@ TEST(ProcEngine, TwoWorkersMatchOracleAcrossCycles) {
   EXPECT_EQ(s.reports_merged,
             (s.planes_started + s.rescue_begins) * rig.eng().num_workers());
   EXPECT_GT(s.transport.frames_received, 0u);
+}
+
+TEST(ProcEngine, AuditViolationRaisesHealthWarning) {
+  RigParams rp;
+  rp.trace = true;
+  ProcOptions popt;
+  popt.workers = 2;
+  ProcRig rig(rp, popt);
+  rig.eng().enable_audit();
+  rig.cycle_checked(/*detect_deadlock=*/false, 0);
+  if (::testing::Test::HasFatalFailure()) return;
+  // Break R ∩ F = ∅ on purpose: a free slot carries an R mark of the next
+  // cycle's epoch. Free slots never leave the controller, so the wave itself
+  // is untouched and only the safe-point audit can notice. The top slot is
+  // the last one the free list hands out, so no aux root claims it.
+  const Store& st = rig.g().store(0);
+  std::uint32_t slot = static_cast<std::uint32_t>(st.capacity()) - 1;
+  ASSERT_TRUE(st.is_free(slot)) << "store 0 is full";
+  MarkPlane& m = rig.g().at(st.id(slot)).plane(Plane::kR);
+  m.epoch = rig.eng().marker().epoch(Plane::kR) + 1;
+  m.color = Color::kMarked;
+  rig.eng().start_cycle();
+  rig.eng().wait_cycle_done();
+  ASSERT_FALSE(rig.eng().failed());
+
+  const AuditStats& as = rig.eng().audit_stats();
+  EXPECT_EQ(as.audits, 2u);
+  EXPECT_EQ(as.violations, 1u);
+  EXPECT_NE(as.last_what.find("heap accounting violated"), std::string::npos)
+      << as.last_what;
+  const HealthReport hr = rig.eng().health();
+  EXPECT_EQ(hr.warnings[static_cast<std::size_t>(
+                obs::HealthKind::kAuditViolation)],
+            1u);
+  EXPECT_EQ(hr.total(), 1u);
+#if DGR_TRACE_ENABLED
+  std::uint64_t audits = 0, warnings = 0;
+  for (const obs::TraceEvent& e : rig.eng().trace()->snapshot()) {
+    if (e.type == obs::EventType::kAudit) ++audits;
+    if (e.type == obs::EventType::kHealthWarning &&
+        e.a == static_cast<std::uint64_t>(obs::HealthKind::kAuditViolation))
+      ++warnings;
+  }
+  EXPECT_EQ(audits, 2u);
+  EXPECT_EQ(warnings, 1u);
+#endif
 }
 
 TEST(ProcEngine, FourWorkersOverTcp) {

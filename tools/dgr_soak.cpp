@@ -57,6 +57,7 @@
 #include <vector>
 
 #include "obs/export.h"
+#include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/proc_engine.h"
@@ -67,6 +68,7 @@
 namespace {
 
 using namespace dgr;
+using obs::append_kv;
 using workload::SessionDriver;
 using workload::WorkloadOptions;
 
@@ -136,20 +138,6 @@ class HealthEmitter {
   std::uint64_t prev_marks_ = 0, prev_remote_ = 0, prev_local_ = 0,
                 prev_retx_ = 0;
 };
-
-void append_kv(std::string& out, const char* k, double v, bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%.6g%s", k, v, comma ? "," : "");
-  out += buf;
-}
-
-void append_kv(std::string& out, const char* k, std::uint64_t v,
-               bool comma = true) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "\"%s\":%llu%s", k, (unsigned long long)v,
-                comma ? "," : "");
-  out += buf;
-}
 
 }  // namespace
 
@@ -339,27 +327,21 @@ int main(int argc, char** argv) {
   for (PeId pe = 0; pe < graph.num_pes(); ++pe)
     baseline[pe] = live_non_aux(pe);
 
+  // The thread and proc engines arm and report the shared safe-point
+  // auditor the same way; the sim engine audits via the paranoid sweep
+  // check instead.
+  const auto start_gated = [&](auto& e) {
+    if (audit_period) e.enable_audit(AuditOptions{audit_period});
+#if DGR_TRACE_ENABLED
+    if (jsonl_path) e.enable_trace();
+#endif
+    e.start();
+  };
   if (thr) {
-    if (audit_period) {
-      AuditOptions aopt;
-      aopt.period = audit_period;
-      thr->enable_audit(aopt);
-    }
     thr->enable_watchdog();
-#if DGR_TRACE_ENABLED
-    if (jsonl_path) thr->enable_trace();
-#endif
-    thr->start();
+    start_gated(*thr);
   } else if (proc) {
-    if (audit_period) {
-      AuditOptions aopt;
-      aopt.period = audit_period;
-      proc->enable_audit(aopt);
-    }
-#if DGR_TRACE_ENABLED
-    if (jsonl_path) proc->enable_trace();
-#endif
-    proc->start();
+    start_gated(*proc);
   } else {
 #if DGR_TRACE_ENABLED
     if (jsonl_path) sim->enable_trace();
@@ -409,21 +391,18 @@ int main(int argc, char** argv) {
   const double wall_s = elapsed();
 
   const bool worker_died = proc && proc->failed();
-  std::uint64_t audits = 0, violations = 0, warnings = 0;
-  if (thr) {
-    audits = thr->audit_stats().audits;
-    violations = thr->audit_stats().violations;
-    warnings = thr->health().total();
-    if (violations)
-      std::printf("# last audit violation: %s\n",
-                  thr->audit_stats().last_what.c_str());
-  } else if (proc) {
-    audits = proc->audit_stats().audits;
-    violations = proc->audit_stats().violations;
-    if (violations)
-      std::printf("# last audit violation: %s\n",
-                  proc->audit_stats().last_what.c_str());
-  }
+  AuditStats audit;
+  HealthReport health_rep;
+  const auto read_audit = [&](const auto& e) {
+    audit = e.audit_stats();
+    health_rep = e.health();
+  };
+  if (thr) read_audit(*thr);
+  if (proc) read_audit(*proc);
+  if (audit.violations)
+    std::printf("# last audit violation: %s\n", audit.last_what.c_str());
+  const std::uint64_t violations = audit.violations;
+  const std::uint64_t warnings = health_rep.total();
 
   // Observability exports before teardown-dependent reads.
   obs::MetricsRegistry& reg = eng->registry();
@@ -517,7 +496,7 @@ int main(int argc, char** argv) {
   append_kv(out, "quiesce", reg.total(obs::Counter::kMutatorStallQuiesceUs),
             false);
   out += "},";
-  append_kv(out, "audits", audits);
+  append_kv(out, "audits", audit.audits);
   append_kv(out, "audit_violations", violations);
   append_kv(out, "health_warnings", warnings);
   append_kv(out, "telemetry_dropped", tele_dropped);
