@@ -23,28 +23,25 @@
 #include <vector>
 
 #include "graph/ids.h"
+#include "util/enum_table.h"
 #include "util/rng.h"
 
 namespace dgr {
 
-enum class FaultKind : std::uint8_t {
-  kDrop = 0,   // message vanishes
-  kDuplicate,  // delivered twice
-  kReorder,    // held back, released after later sends on the pair
-  kTruncate,   // delivered with a random-length prefix of its bytes
-  kCount_,
-};
+// X(kEnumerator, "name", "doc") — one row per fault the plane can inject.
+#define DGR_FAULT_KINDS(X)                                                   \
+  X(kDrop, "drop", "message vanishes")                                       \
+  X(kDuplicate, "duplicate", "delivered twice")                              \
+  X(kReorder, "reorder", "held back, released after later sends on the pair") \
+  X(kTruncate, "truncate", "delivered with a random-length prefix of its bytes")
+
+enum class FaultKind : std::uint8_t { DGR_FAULT_KINDS(DGR_ENUMERATOR) kCount_ };
 inline constexpr std::size_t kNumFaultKinds =
     static_cast<std::size_t>(FaultKind::kCount_);
-inline const char* fault_kind_name(FaultKind k) {
-  switch (k) {
-    case FaultKind::kDrop: return "drop";
-    case FaultKind::kDuplicate: return "duplicate";
-    case FaultKind::kReorder: return "reorder";
-    case FaultKind::kTruncate: return "truncate";
-    case FaultKind::kCount_: break;
-  }
-  return "?";
+inline constexpr const char* kFaultKindNames[] = {
+    DGR_FAULT_KINDS(DGR_ENUM_NAME)};
+constexpr const char* fault_kind_name(FaultKind k) {
+  return enum_name(kFaultKindNames, k);
 }
 
 // Per-pair fault probabilities, rolled independently per message in the

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <unordered_map>
 
 #include "obs/json.h"
@@ -300,184 +298,140 @@ TraceReport analyze(const std::vector<TraceEvent>& events) {
 
 namespace {
 
-// Minimal scanners for the fixed MetricsRegistry::to_json layout (flat keys,
-// deterministic order — same contract from_jsonl relies on).
-bool scan_u64_after(const std::string& s, std::size_t from, const char* key,
-                    std::uint64_t* out) {
-  const std::size_t k = s.find(key, from);
-  if (k == std::string::npos) return false;
-  const char* p = s.c_str() + k + std::strlen(key);
-  char* end = nullptr;
-  *out = std::strtoull(p, &end, 10);
-  return end != p;
-}
+// Per-PE registry counters the metrics dump supersedes trace-derived values
+// with (or provides outright: task counts and the locality plane). A key
+// absent from an older dump leaves the field as it was.
+constexpr std::pair<Counter, std::uint64_t PeLoad::*> kPeCounters[] = {
+    {Counter::kMarkTasks, &PeLoad::mark_tasks},
+    {Counter::kReturnTasks, &PeLoad::return_tasks},
+    {Counter::kMsgRetransmit, &PeLoad::msg_retransmit},
+    {Counter::kMsgDupSuppressed, &PeLoad::msg_dup_suppressed},
+    {Counter::kMsgBatched, &PeLoad::msg_batched},
+    {Counter::kBatchFlush, &PeLoad::batch_flush},
+    {Counter::kBackpressureStall, &PeLoad::backpressure_stall},
+    {Counter::kRemoteMessages, &PeLoad::remote_messages},
+    {Counter::kLocalMessages, &PeLoad::local_messages},
+    {Counter::kBoundaryDedup, &PeLoad::boundary_dedup},
+    {Counter::kStealBatches, &PeLoad::steal_batches},
+    {Counter::kStealTasks, &PeLoad::steal_tasks},
+    {Counter::kEdgeCut, &PeLoad::edge_cut},
+    {Counter::kEdgesTotal, &PeLoad::edges_total},
+};
 
-bool scan_double_after(const std::string& s, std::size_t from, const char* key,
-                       double* out) {
-  const std::size_t k = s.find(key, from);
-  if (k == std::string::npos) return false;
-  const char* p = s.c_str() + k + std::strlen(key);
-  char* end = nullptr;
-  *out = std::strtod(p, &end);
-  return end != p;
-}
+// The cluster rollup's per-worker counts, under the keys both
+// ProcEngine::cluster_metrics_json and report_to_json use.
+constexpr std::pair<const char*, std::uint64_t WorkerRow::*> kWorkerKeys[] = {
+    {"marks", &WorkerRow::marks},
+    {"returns", &WorkerRow::returns},
+    {"remote_messages", &WorkerRow::remote_messages},
+    {"retransmits", &WorkerRow::retransmits},
+    {"handoff_bytes", &WorkerRow::handoff_bytes},
+    {"handoff_full_bytes", &WorkerRow::handoff_full_bytes},
+    {"handoff_delta_bytes", &WorkerRow::handoff_delta_bytes},
+    {"relayed_frames", &WorkerRow::relayed_frames},
+    {"relayed_bytes", &WorkerRow::relayed_bytes},
+    {"telemetry_msgs", &WorkerRow::telemetry_msgs},
+    {"telemetry_dropped", &WorkerRow::telemetry_dropped},
+};
 
-bool scan_i64_after(const std::string& s, std::size_t from, const char* key,
-                    std::int64_t* out) {
-  const std::size_t k = s.find(key, from);
-  if (k == std::string::npos) return false;
-  const char* p = s.c_str() + k + std::strlen(key);
-  char* end = nullptr;
-  *out = std::strtoll(p, &end, 10);
-  return end != p;
+// Fold one PE row ({"pe":N,"counters":{...},"hists":{...}}) into `p`.
+void read_pe_row(JsonReader& j, const JsonValue& row, PeLoad& p,
+                 SessionSlo& s) {
+  if (const JsonValue* c = j.object(row, "counters"))
+    for (const auto& [counter, field] : kPeCounters)
+      j.read(*c, counter_name(counter), &(p.*field));
+  if (p.remote_messages + p.local_messages)
+    p.remote_ratio = static_cast<double>(p.remote_messages) /
+                     static_cast<double>(p.remote_messages + p.local_messages);
+  const JsonValue* hists = j.object(row, "hists");
+  if (!hists) return;
+  // The deepest mailbox/queue backlog the PE ever serviced.
+  double v = 0.0;
+  if (const JsonValue* h = j.object(*hists, hist_name(Hist::kMarkQueueDepth)))
+    if (j.read(*h, "max", &v))
+      p.mailbox_high_water = static_cast<std::uint64_t>(v);
+  // Mutator stall histogram: sum the sample counts, keep the worst
+  // percentile across PEs (log-bucket percentiles don't merge exactly).
+  const JsonValue* st = j.object(*hists, hist_name(Hist::kMutatorStallUs));
+  std::uint64_t cnt = 0;
+  if (!st || !j.read(*st, "count", &cnt) || !cnt) return;
+  s.stall_ops += cnt;
+  for (const auto& [key, field] :
+       {std::pair{"p50", &SessionSlo::stall_p50_us},
+        {"p99", &SessionSlo::stall_p99_us},
+        {"p999", &SessionSlo::stall_p999_us},
+        {"max", &SessionSlo::stall_max_us}})
+    if (j.read(*st, key, &v)) s.*field = std::max(s.*field, v);
 }
 
 }  // namespace
 
 bool enrich_with_metrics_json(TraceReport& report, const std::string& json) {
+  JsonReader j(json);
+  const JsonValue& root = j.root();
   std::uint64_t num_pes = 0;
-  if (!scan_u64_after(json, 0, "\"num_pes\":", &num_pes) || num_pes == 0)
+  const JsonValue* pes = j.array(root, "pes");
+  if (!j.ok() || !j.read(root, "num_pes", &num_pes) || num_pes == 0 || !pes ||
+      pes->items.size() < num_pes)
     return false;
-  const std::size_t pes_at = json.find("\"pes\":[");
-  if (pes_at == std::string::npos) return false;
-  if (report.pes.size() < num_pes) {
-    const std::size_t old = report.pes.size();
-    report.pes.resize(num_pes);
+  TraceReport r = report;  // filled off to the side: all or nothing
+  if (r.pes.size() < num_pes) {
+    const std::size_t old = r.pes.size();
+    r.pes.resize(num_pes);
     for (std::size_t i = old; i < num_pes; ++i)
-      report.pes[i].pe = static_cast<std::uint16_t>(i);
-    report.num_pes = static_cast<std::uint32_t>(num_pes);
+      r.pes[i].pe = static_cast<std::uint16_t>(i);
+    r.num_pes = static_cast<std::uint32_t>(num_pes);
   }
-  std::size_t pos = pes_at;
   for (std::uint64_t pe = 0; pe < num_pes; ++pe) {
-    char anchor[32];
-    std::snprintf(anchor, sizeof(anchor), "{\"pe\":%llu,",
-                  (unsigned long long)pe);
-    const std::size_t at = json.find(anchor, pos);
-    if (at == std::string::npos) return false;
-    PeLoad& p = report.pes[pe];
-    scan_u64_after(json, at, "\"mark_tasks\":", &p.mark_tasks);
-    scan_u64_after(json, at, "\"return_tasks\":", &p.return_tasks);
-    // Exact channel counts supersede the trace-derived approximation (the
-    // ring may have dropped events; older dumps lack the keys — kept as-is).
-    scan_u64_after(json, at, "\"msg_retransmit\":", &p.msg_retransmit);
-    scan_u64_after(json, at, "\"msg_dup_suppressed\":", &p.msg_dup_suppressed);
-    scan_u64_after(json, at, "\"msg_batched\":", &p.msg_batched);
-    scan_u64_after(json, at, "\"batch_flush\":", &p.batch_flush);
-    scan_u64_after(json, at, "\"backpressure_stall\":", &p.backpressure_stall);
-    // Locality counters (older dumps lack the keys — left at zero).
-    scan_u64_after(json, at, "\"remote_messages\":", &p.remote_messages);
-    scan_u64_after(json, at, "\"local_messages\":", &p.local_messages);
-    scan_u64_after(json, at, "\"boundary_dedup\":", &p.boundary_dedup);
-    scan_u64_after(json, at, "\"steal_batches\":", &p.steal_batches);
-    scan_u64_after(json, at, "\"steal_tasks\":", &p.steal_tasks);
-    scan_u64_after(json, at, "\"edge_cut\":", &p.edge_cut);
-    scan_u64_after(json, at, "\"edges_total\":", &p.edges_total);
-    if (p.remote_messages + p.local_messages)
-      p.remote_ratio =
-          static_cast<double>(p.remote_messages) /
-          static_cast<double>(p.remote_messages + p.local_messages);
-    // The deepest mailbox/queue backlog the PE ever serviced.
-    const std::size_t h = json.find("\"mark_queue_depth\":", at);
-    if (h != std::string::npos) {
-      double max_depth = 0.0;
-      if (scan_double_after(json, h, "\"max\":", &max_depth))
-        p.mailbox_high_water = static_cast<std::uint64_t>(max_depth);
-    }
-    // Mutator stall histogram: sum the sample counts, keep the worst
-    // percentile across PEs (log-bucket percentiles don't merge exactly).
-    const std::size_t st = json.find("\"mutator_stall_us\":", at);
-    if (st != std::string::npos) {
-      SessionSlo& s = report.sessions;
-      std::uint64_t cnt = 0;
-      double p50 = 0, p99 = 0, p999 = 0, mx = 0;
-      if (scan_u64_after(json, st, "\"count\":", &cnt) && cnt) {
-        s.stall_ops += cnt;
-        if (scan_double_after(json, st, "\"p50\":", &p50))
-          s.stall_p50_us = std::max(s.stall_p50_us, p50);
-        if (scan_double_after(json, st, "\"p99\":", &p99))
-          s.stall_p99_us = std::max(s.stall_p99_us, p99);
-        if (scan_double_after(json, st, "\"p999\":", &p999))
-          s.stall_p999_us = std::max(s.stall_p999_us, p999);
-        if (scan_double_after(json, st, "\"max\":", &mx))
-          s.stall_max_us = std::max(s.stall_max_us, mx);
-      }
-    }
-    pos = at + 1;
+    const JsonValue& row = pes->items[pe];
+    std::uint64_t id = 0;
+    if (!j.read(row, "pe", &id) || id != pe) return false;
+    read_pe_row(j, row, r.pes[pe], r.sessions);
   }
-  // Session + stall-attribution totals (the "totals" object precedes "pes",
-  // so a first-occurrence scan lands on it).
-  {
-    SessionSlo& s = report.sessions;
-    const std::size_t tot = json.find("\"totals\":");
-    if (tot != std::string::npos) {
-      std::uint64_t u = 0;
-      if (scan_u64_after(json, tot, "\"sessions_opened\":", &u) && u)
-        s.opened = std::max(s.opened, u);
-      if (scan_u64_after(json, tot, "\"sessions_closed\":", &u) && u)
-        s.closed = std::max(s.closed, u);
-      if (scan_u64_after(json, tot, "\"session_churn_ops\":", &u) && u)
-        s.churn = std::max(s.churn, u);
-      scan_u64_after(json, tot, "\"sessions_rejected\":", &s.rejected);
-      scan_u64_after(json, tot, "\"mutator_stall_idle_us\":", &s.stall_idle_us);
-      scan_u64_after(json, tot, "\"mutator_stall_mark_us\":", &s.stall_mark_us);
-      scan_u64_after(json, tot, "\"mutator_stall_quiesce_us\":",
-                     &s.stall_quiesce_us);
-    }
+  // Totals: session counts (kept if above the trace's) and stall time.
+  if (const JsonValue* tot = j.object(root, "totals")) {
+    SessionSlo& s = r.sessions;
+    std::uint64_t u = 0;
+    for (const auto& [counter, field] :
+         {std::pair{Counter::kSessionsOpened, &SessionSlo::opened},
+          {Counter::kSessionsClosed, &SessionSlo::closed},
+          {Counter::kSessionChurnOps, &SessionSlo::churn}})
+      if (j.read(*tot, counter_name(counter), &u) && u)
+        s.*field = std::max(s.*field, u);
+    for (const auto& [counter, field] :
+         {std::pair{Counter::kSessionsRejected, &SessionSlo::rejected},
+          {Counter::kMutatorStallIdleUs, &SessionSlo::stall_idle_us},
+          {Counter::kMutatorStallMarkUs, &SessionSlo::stall_mark_us},
+          {Counter::kMutatorStallQuiesceUs, &SessionSlo::stall_quiesce_us}})
+      j.read(*tot, counter_name(counter), &(s.*field));
   }
-  // Cluster rollup: present only in ProcEngine::cluster_metrics_json dumps
-  // (the "{\"worker\":N," anchor cannot collide with "{\"pe\":N," above).
-  const std::size_t workers_at = json.find("\"workers\":[");
-  if (workers_at != std::string::npos) {
-    report.workers.clear();
-    std::size_t wpos = workers_at;
-    for (std::uint32_t w = 0;; ++w) {
-      char anchor[32];
-      std::snprintf(anchor, sizeof(anchor), "{\"worker\":%u,", w);
-      const std::size_t at = json.find(anchor, wpos);
-      if (at == std::string::npos) break;
-      WorkerRow row;
-      row.worker = w;
-      std::uint64_t u = 0;
-      if (scan_u64_after(json, at, "\"pe_begin\":", &u))
-        row.pe_begin = static_cast<std::uint32_t>(u);
-      if (scan_u64_after(json, at, "\"pe_count\":", &u))
-        row.pe_count = static_cast<std::uint32_t>(u);
-      scan_u64_after(json, at, "\"marks\":", &row.marks);
-      scan_u64_after(json, at, "\"returns\":", &row.returns);
-      scan_u64_after(json, at, "\"remote_messages\":", &row.remote_messages);
-      scan_u64_after(json, at, "\"retransmits\":", &row.retransmits);
-      scan_u64_after(json, at, "\"handoff_bytes\":", &row.handoff_bytes);
-      scan_u64_after(json, at, "\"handoff_full_bytes\":",
-                     &row.handoff_full_bytes);
-      scan_u64_after(json, at, "\"handoff_delta_bytes\":",
-                     &row.handoff_delta_bytes);
-      scan_u64_after(json, at, "\"relayed_frames\":", &row.relayed_frames);
-      scan_u64_after(json, at, "\"relayed_bytes\":", &row.relayed_bytes);
-      scan_u64_after(json, at, "\"telemetry_msgs\":", &row.telemetry_msgs);
-      scan_u64_after(json, at, "\"telemetry_dropped\":",
-                     &row.telemetry_dropped);
-      scan_i64_after(json, at, "\"clock_offset_us\":", &row.clock_offset_us);
-      scan_u64_after(json, at, "\"clock_rtt_us\":", &row.clock_rtt_us);
-      report.workers.push_back(row);
-      wpos = at + 1;
+  // Cluster rollup: present only in ProcEngine::cluster_metrics_json dumps.
+  if (const JsonValue* workers = j.array(root, "workers")) {
+    r.workers.clear();
+    for (const JsonValue& w : workers->items) {
+      WorkerRow& row = r.workers.emplace_back();
+      row.worker = static_cast<std::uint32_t>(r.workers.size() - 1);
+      j.read(w, "worker", &row.worker);
+      j.read(w, "pe_begin", &row.pe_begin);
+      j.read(w, "pe_count", &row.pe_count);
+      for (const auto& [key, field] : kWorkerKeys)
+        j.read(w, key, &(row.*field));
+      j.read(w, "clock_offset_us", &row.clock_offset_us);
+      j.read(w, "clock_rtt_us", &row.clock_rtt_us);
     }
     // Membership summary (older dumps lack the object — left at zero).
-    const std::size_t mem_at = json.find("\"membership\":{");
-    if (mem_at != std::string::npos) {
-      scan_u64_after(json, mem_at, "\"gen\":", &report.membership_gen);
-      scan_u64_after(json, mem_at, "\"workers_live\":", &report.workers_live);
-      scan_u64_after(json, mem_at, "\"workers_total\":",
-                     &report.workers_total);
-      std::uint64_t u = 0;
-      if (scan_u64_after(json, mem_at, "\"worker_lost\":", &u))
-        report.workers_lost = u;
-      if (scan_u64_after(json, mem_at, "\"partition_reassigned\":", &u))
-        report.pes_reassigned = u;
-      if (scan_u64_after(json, mem_at, "\"handoff_resyncs\":", &u))
-        report.handoff_resyncs = u;
+    if (const JsonValue* m = j.object(root, "membership")) {
+      j.read(*m, "gen", &r.membership_gen);
+      j.read(*m, "workers_live", &r.workers_live);
+      j.read(*m, "workers_total", &r.workers_total);
+      j.read(*m, "worker_lost", &r.workers_lost);
+      j.read(*m, "partition_reassigned", &r.pes_reassigned);
+      j.read(*m, "handoff_resyncs", &r.handoff_resyncs);
     }
   }
-  report.metrics_enriched = true;
+  if (!j.ok()) return false;
+  r.metrics_enriched = true;
+  report = std::move(r);
   return true;
 }
 
@@ -485,8 +439,7 @@ std::string report_to_json(const TraceReport& r) {
   std::string out = "{";
   append_kv(out, "events", r.events);
   append_kv(out, "num_pes", r.num_pes);
-  out += "\"metrics_enriched\":";
-  out += r.metrics_enriched ? "true," : "false,";
+  append_kv(out, "metrics_enriched", r.metrics_enriched);
   append_kv(out, "complete_cycles", r.complete_cycles);
   append_kv(out, "audits", r.audits);
   append_kv(out, "audit_violations", r.audit_violations);
@@ -507,18 +460,14 @@ std::string report_to_json(const TraceReport& r) {
   out += "\"faults_injected\":{";
   for (std::size_t i = 0; i < kNumFaultKinds; ++i) {
     if (i) out += ',';
-    out += '"';
-    out += fault_kind_name(static_cast<FaultKind>(i));
-    out += "\":";
-    append_u64(out, r.faults_injected[i]);
+    append_kv(out, fault_kind_name(static_cast<FaultKind>(i)),
+              r.faults_injected[i], false);
   }
   out += "},\"health_warnings\":{";
   for (std::size_t i = 0; i < kNumHealthKinds; ++i) {
     if (i) out += ',';
-    out += '"';
-    out += health_kind_name(static_cast<HealthKind>(i));
-    out += "\":";
-    append_u64(out, r.health_warnings[i]);
+    append_kv(out, health_kind_name(static_cast<HealthKind>(i)),
+              r.health_warnings[i], false);
   }
   out += "},\"cycles\":[";
   for (std::size_t i = 0; i < r.cycles.size(); ++i) {
@@ -526,18 +475,16 @@ std::string report_to_json(const TraceReport& r) {
     if (i) out += ',';
     out += '{';
     append_kv(out, "cycle", c.cycle);
-    out += "\"complete\":";
-    out += c.complete ? "true," : "false,";
+    append_kv(out, "complete", c.complete);
     append_kv(out, "start_ts", c.start_ts);
     append_kv(out, "end_ts", c.end_ts);
     append_kv(out, "duration", c.duration());
     for (const auto& pr : {std::pair<const char*, const PhaseReport*>{
                                "mt", &c.mt},
                            {"mr", &c.mr}}) {
-      out += '"';
-      out += pr.first;
-      out += "\":{\"ran\":";
-      out += pr.second->ran ? "true," : "false,";
+      append_key(out, pr.first);
+      out += '{';
+      append_kv(out, "ran", pr.second->ran);
       append_kv(out, "begin_ts", pr.second->begin_ts);
       append_kv(out, "end_ts", pr.second->end_ts);
       append_kv(out, "duration", pr.second->duration());
@@ -551,8 +498,7 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "swept", c.swept);
     append_kv(out, "expunged", c.expunged);
     append_kv(out, "reprioritized", c.reprioritized);
-    out += "\"deadlock_report\":";
-    out += c.deadlock_report ? "true," : "false,";
+    append_kv(out, "deadlock_report", c.deadlock_report);
     append_kv(out, "deadlocked", c.deadlocked_count);
     append_kv(out, "audits", c.audits);
     append_kv(out, "audit_violations", c.audit_violations);
@@ -567,13 +513,9 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "pe", p.pe);
     append_kv(out, "wave_samples_r", p.wave_samples_r);
     append_kv(out, "wave_samples_t", p.wave_samples_t);
-    out += "\"work_share\":";
-    append_double(out, p.work_share);
-    out += ',';
+    append_kv(out, "work_share", p.work_share);
     append_kv(out, "cycles_participated", p.cycles_participated);
-    out += "\"idle_fraction\":";
-    append_double(out, p.idle_fraction);
-    out += ',';
+    append_kv(out, "idle_fraction", p.idle_fraction);
     append_kv(out, "rescue_queued", p.rescue_queued);
     append_kv(out, "coop_taints", p.coop_taints);
     append_kv(out, "health_warnings", p.health_warnings);
@@ -587,9 +529,7 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "mailbox_high_water", p.mailbox_high_water);
     append_kv(out, "remote_messages", p.remote_messages);
     append_kv(out, "local_messages", p.local_messages);
-    out += "\"remote_ratio\":";
-    append_double(out, p.remote_ratio);
-    out += ',';
+    append_kv(out, "remote_ratio", p.remote_ratio);
     append_kv(out, "boundary_dedup", p.boundary_dedup);
     append_kv(out, "steal_batches", p.steal_batches);
     append_kv(out, "steal_tasks", p.steal_tasks);
@@ -601,16 +541,12 @@ std::string report_to_json(const TraceReport& r) {
   for (const auto& wl : {std::pair<const char*, const WaveLatency*>{
                              "wave_latency_r", &r.wave_r},
                          {"wave_latency_t", &r.wave_t}}) {
-    out += '"';
-    out += wl.first;
-    out += "\":{";
+    append_key(out, wl.first);
+    out += '{';
     append_kv(out, "samples", wl.second->samples);
-    out += "\"p50\":";
-    append_double(out, wl.second->p50);
-    out += ",\"p99\":";
-    append_double(out, wl.second->p99);
-    out += ",\"max\":";
-    append_double(out, wl.second->max);
+    append_kv(out, "p50", wl.second->p50);
+    append_kv(out, "p99", wl.second->p99);
+    append_kv(out, "max", wl.second->max, false);
     out += "},";
   }
   out += "\"workers\":[";
@@ -621,24 +557,8 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "worker", w.worker);
     append_kv(out, "pe_begin", w.pe_begin);
     append_kv(out, "pe_count", w.pe_count);
-    append_kv(out, "marks", w.marks);
-    append_kv(out, "returns", w.returns);
-    append_kv(out, "remote_messages", w.remote_messages);
-    append_kv(out, "retransmits", w.retransmits);
-    append_kv(out, "handoff_bytes", w.handoff_bytes);
-    append_kv(out, "handoff_full_bytes", w.handoff_full_bytes);
-    append_kv(out, "handoff_delta_bytes", w.handoff_delta_bytes);
-    append_kv(out, "relayed_frames", w.relayed_frames);
-    append_kv(out, "relayed_bytes", w.relayed_bytes);
-    append_kv(out, "telemetry_msgs", w.telemetry_msgs);
-    append_kv(out, "telemetry_dropped", w.telemetry_dropped);
-    out += "\"clock_offset_us\":";
-    {
-      char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld", (long long)w.clock_offset_us);
-      out += buf;
-    }
-    out += ',';
+    for (const auto& [key, field] : kWorkerKeys) append_kv(out, key, w.*field);
+    append_kv(out, "clock_offset_us", w.clock_offset_us);
     append_kv(out, "clock_rtt_us", w.clock_rtt_us, false);
     out += '}';
   }
@@ -652,19 +572,12 @@ std::string report_to_json(const TraceReport& r) {
     append_kv(out, "rejected", s.rejected);
     append_kv(out, "first_ts", s.first_ts);
     append_kv(out, "last_ts", s.last_ts);
-    out += "\"sessions_per_sec\":";
-    append_double(out, s.sessions_per_sec);
-    out += ',';
+    append_kv(out, "sessions_per_sec", s.sessions_per_sec);
     append_kv(out, "stall_ops", s.stall_ops);
-    out += "\"stall_p50_us\":";
-    append_double(out, s.stall_p50_us);
-    out += ",\"stall_p99_us\":";
-    append_double(out, s.stall_p99_us);
-    out += ",\"stall_p999_us\":";
-    append_double(out, s.stall_p999_us);
-    out += ",\"stall_max_us\":";
-    append_double(out, s.stall_max_us);
-    out += ',';
+    append_kv(out, "stall_p50_us", s.stall_p50_us);
+    append_kv(out, "stall_p99_us", s.stall_p99_us);
+    append_kv(out, "stall_p999_us", s.stall_p999_us);
+    append_kv(out, "stall_max_us", s.stall_max_us);
     append_kv(out, "stall_idle_us", s.stall_idle_us);
     append_kv(out, "stall_mark_us", s.stall_mark_us);
     append_kv(out, "stall_quiesce_us", s.stall_quiesce_us, false);
@@ -684,10 +597,9 @@ std::string report_to_json(const TraceReport& r) {
     out += "\"vertices\":[";
     for (std::size_t j = 0; j < d.vertices.size(); ++j) {
       if (j) out += ',';
-      out += "{\"pe\":";
-      append_u64(out, d.vertices[j].first);
-      out += ",\"idx\":";
-      append_u64(out, d.vertices[j].second);
+      out += '{';
+      append_kv(out, "pe", d.vertices[j].first);
+      append_kv(out, "idx", d.vertices[j].second, false);
       out += '}';
     }
     out += "]}";

@@ -1,8 +1,8 @@
 // Post-mortem trace analytics backing the dgr_analyze CLI.
 //
 // Consumes the JSONL event stream produced by to_jsonl / dgr_run
-// --trace-jsonl (re-parsed via from_jsonl) and reconstructs, per ISSUE
-// archetype "how did this run behave":
+// --trace-jsonl (re-parsed via from_jsonl) and reconstructs how the run
+// behaved:
 //   - per-cycle summaries: phase durations, mark/return totals, rescue-wave
 //     counts, restructuring outcomes (swept / expunged / reprioritized);
 //   - a per-PE load table: wave-front sample share, cycles participated,
@@ -224,9 +224,11 @@ struct TraceReport {
 TraceReport analyze(const std::vector<TraceEvent>& events);
 
 // Merge a metrics-registry JSON dump (obs::MetricsRegistry::to_json, the
-// file dgr_run --metrics writes) into the per-PE table: exact mark/return
-// task counts and the mark_queue_depth high water. Returns false (report
-// untouched) when the JSON does not look like a registry dump.
+// file dgr_run --metrics writes, or ProcEngine::cluster_metrics_json) into
+// the report: exact per-PE counts, each read from its own PE row by counter
+// name, plus the cluster's worker and membership rows. Returns false (report
+// untouched) when the JSON is malformed, is not a registry dump, or holds a
+// known key with the wrong type.
 bool enrich_with_metrics_json(TraceReport& report, const std::string& json);
 
 // Deterministic JSON object (stable key order) for --json / CI consumption.

@@ -18,20 +18,16 @@ namespace dgr::obs {
 //   {"ts":12,"type":"sweep","plane":"R","pe":0,"cycle":3,"a":17,"b":0}
 std::string to_jsonl(const std::vector<TraceEvent>& events);
 
-// Inverse of to_jsonl (accepts exactly that format; used by tests and
-// offline tooling). Unparseable lines are skipped.
+// Inverse of to_jsonl (used by tests and offline tooling). Lines that do
+// not parse, miss a field or name an unknown type are skipped.
 std::vector<TraceEvent> from_jsonl(const std::string& text);
 
-// Chrome trace_event "JSON Object Format": {"traceEvents":[...]}.
-//   - metadata names tid 0..num_pes-1 "PE n" and tid num_pes "controller";
-//   - cycle and M_T/M_R phases become duration ("X") events on the
-//     controller track;
-//   - restructuring actions and deadlock reports become instant events on
-//     the controller track; wave fronts / rescues / taints land on the
-//     emitting PE's track;
-//   - wave fronts additionally emit counter ("C") events, one counter
-//     series per PE and plane, charting the wave's advance.
-// Timestamps are exported as microseconds (sim: 1 step = 1 µs).
+// Chrome trace_event "JSON Object Format": {"traceEvents":[...]}. Metadata
+// names tid 0..num_pes-1 "PE n" and tid num_pes "controller"; cycle and
+// M_T/M_R phases become duration ("X") spans on the controller track, wave
+// fronts counter ("C") series per PE and plane, and every other event an
+// instant whose label, track and args come from its DGR_OBS_EVENTS row
+// (obs/schema.h). Timestamps are microseconds (sim: 1 step = 1 µs).
 std::string to_chrome_trace(const std::vector<TraceEvent>& events,
                             std::uint32_t num_pes);
 

@@ -1,7 +1,6 @@
 #include "obs/metrics.h"
 
 #include <cstdio>
-#include <functional>
 #include <thread>
 
 #include "obs/json.h"
@@ -28,65 +27,6 @@ void hist_lock_acquire(Slot& s) {
 }
 
 }  // namespace
-
-const char* counter_name(Counter c) {
-  switch (c) {
-    case Counter::kMarkTasks: return "mark_tasks";
-    case Counter::kReturnTasks: return "return_tasks";
-    case Counter::kReductionTasks: return "reduction_tasks";
-    case Counter::kRemoteMessages: return "remote_messages";
-    case Counter::kLocalMessages: return "local_messages";
-    case Counter::kBytesSent: return "bytes_sent";
-    case Counter::kMsgDroppedInjected: return "msg_dropped_injected";
-    case Counter::kMsgDupInjected: return "msg_dup_injected";
-    case Counter::kMsgReorderedInjected: return "msg_reordered_injected";
-    case Counter::kMsgTruncatedInjected: return "msg_truncated_injected";
-    case Counter::kMsgRetransmit: return "msg_retransmit";
-    case Counter::kMsgDupSuppressed: return "msg_dup_suppressed";
-    case Counter::kMsgDecodeError: return "msg_decode_error";
-    case Counter::kMsgBatched: return "msg_batched";
-    case Counter::kBatchFlush: return "batch_flush";
-    case Counter::kBackpressureStall: return "backpressure_stall";
-    case Counter::kBoundaryDedup: return "boundary_dedup";
-    case Counter::kStealBatches: return "steal_batches";
-    case Counter::kStealTasks: return "steal_tasks";
-    case Counter::kEdgeCut: return "edge_cut";
-    case Counter::kEdgesTotal: return "edges_total";
-    case Counter::kHandoffBytes: return "handoff_bytes";
-    case Counter::kRelayedFrames: return "relayed_frames";
-    case Counter::kRelayedBytes: return "relayed_bytes";
-    case Counter::kTelemetryMsgs: return "telemetry_msgs";
-    case Counter::kTelemetryDropped: return "telemetry_dropped";
-    case Counter::kWorkerLost: return "worker_lost";
-    case Counter::kPartitionReassigned: return "partition_reassigned";
-    case Counter::kHandoffFullBytes: return "handoff_full_bytes";
-    case Counter::kHandoffDeltaBytes: return "handoff_delta_bytes";
-    case Counter::kHandoffResyncs: return "handoff_resyncs";
-    case Counter::kSessionsOpened: return "sessions_opened";
-    case Counter::kSessionsClosed: return "sessions_closed";
-    case Counter::kSessionChurnOps: return "session_churn_ops";
-    case Counter::kSessionsRejected: return "sessions_rejected";
-    case Counter::kMutatorOps: return "mutator_ops";
-    case Counter::kMutatorStallIdleUs: return "mutator_stall_idle_us";
-    case Counter::kMutatorStallMarkUs: return "mutator_stall_mark_us";
-    case Counter::kMutatorStallQuiesceUs: return "mutator_stall_quiesce_us";
-    case Counter::kCount_: break;
-  }
-  return "?";
-}
-
-const char* hist_name(Hist h) {
-  switch (h) {
-    case Hist::kMarkQueueDepth: return "mark_queue_depth";
-    case Hist::kPoolDepth: return "pool_depth";
-    case Hist::kMsgLatency: return "msg_latency";
-    case Hist::kChannelRtt: return "channel_rtt_us";
-    case Hist::kBatchFillPct: return "batch_fill_pct";
-    case Hist::kMutatorStallUs: return "mutator_stall_us";
-    case Hist::kCount_: break;
-  }
-  return "?";
-}
 
 MetricsRegistry::MetricsRegistry(std::uint32_t num_pes)
     : slots_(num_pes ? num_pes : 1) {}
@@ -139,30 +79,22 @@ void MetricsRegistry::reset() {
 
 namespace {
 
-void append_counters(std::string& out,
-                     const std::function<std::uint64_t(Counter)>& get) {
+template <typename Get>
+void append_counters(std::string& out, Get get) {
   out += '{';
-  for (std::size_t i = 0; i < kNumCounters; ++i) {
-    if (i) out += ',';
-    out += '"';
-    out += counter_name(static_cast<Counter>(i));
-    out += "\":";
-    append_u64(out, get(static_cast<Counter>(i)));
-  }
+  for (std::size_t i = 0; i < kNumCounters; ++i)
+    append_kv(out, kCounterNames[i], get(static_cast<Counter>(i)),
+              i + 1 < kNumCounters);
   out += '}';
 }
 
 void append_hist(std::string& out, const Histogram& h) {
-  out += "{\"count\":";
-  append_u64(out, h.count());
-  out += ",\"p50\":";
-  append_double(out, h.p50());
-  out += ",\"p99\":";
-  append_double(out, h.p99());
-  out += ",\"p999\":";
-  append_double(out, h.percentile(99.9));
-  out += ",\"max\":";
-  append_double(out, h.max_value());
+  out += '{';
+  append_kv(out, "count", h.count());
+  append_kv(out, "p50", h.p50());
+  append_kv(out, "p99", h.p99());
+  append_kv(out, "p999", h.percentile(99.9));
+  append_kv(out, "max", h.max_value(), false);
   out += '}';
 }
 
@@ -170,22 +102,20 @@ void append_hist(std::string& out, const Histogram& h) {
 
 std::string MetricsRegistry::to_json() const {
   std::string out = "{\"num_pes\":";
-  append_u64(out, num_pes());
+  append_value(out, num_pes());
   out += ",\"totals\":";
   append_counters(out, [&](Counter c) { return total(c); });
   out += ",\"pes\":[";
   for (std::uint32_t pe = 0; pe < num_pes(); ++pe) {
     if (pe) out += ',';
     out += "{\"pe\":";
-    append_u64(out, pe);
+    append_value(out, pe);
     out += ",\"counters\":";
     append_counters(out, [&](Counter c) { return get(pe, c); });
     out += ",\"hists\":{";
     for (std::size_t i = 0; i < kNumHists; ++i) {
       if (i) out += ',';
-      out += '"';
-      out += hist_name(static_cast<Hist>(i));
-      out += "\":";
+      append_key(out, kHistNames[i]);
       append_hist(out, hist(pe, static_cast<Hist>(i)));
     }
     out += "}}";
@@ -232,30 +162,19 @@ std::string health_line(const HealthSnapshot& s) {
 }
 
 std::string health_jsonl(const HealthSnapshot& s) {
-  std::string out = "{\"cycle\":";
-  append_u64(out, s.cycle);
-  out += ",\"cycles_window\":";
-  append_u64(out, s.cycles_window);
-  out += ",\"window_ms\":";
-  append_double(out, s.window_ms);
-  out += ",\"marks\":";
-  append_u64(out, s.marks);
-  out += ",\"remote_msgs\":";
-  append_u64(out, s.remote_msgs);
-  out += ",\"local_msgs\":";
-  append_u64(out, s.local_msgs);
-  out += ",\"retransmits\":";
-  append_u64(out, s.retransmits);
-  out += ",\"stall_ops\":";
-  append_u64(out, s.stall_ops);
-  out += ",\"mutator_stall_p99_us\":";
-  append_double(out, s.stall_p99_us);
-  out += ",\"telemetry_dropped\":";
-  append_u64(out, s.telemetry_dropped);
-  out += ",\"workers_live\":";
-  append_u64(out, s.workers_live);
-  out += ",\"workers_total\":";
-  append_u64(out, s.workers_total);
+  std::string out = "{";
+  append_kv(out, "cycle", s.cycle);
+  append_kv(out, "cycles_window", s.cycles_window);
+  append_kv(out, "window_ms", s.window_ms);
+  append_kv(out, "marks", s.marks);
+  append_kv(out, "remote_msgs", s.remote_msgs);
+  append_kv(out, "local_msgs", s.local_msgs);
+  append_kv(out, "retransmits", s.retransmits);
+  append_kv(out, "stall_ops", s.stall_ops);
+  append_kv(out, "mutator_stall_p99_us", s.stall_p99_us);
+  append_kv(out, "telemetry_dropped", s.telemetry_dropped);
+  append_kv(out, "workers_live", s.workers_live);
+  append_kv(out, "workers_total", s.workers_total, false);
   out += '}';
   return out;
 }

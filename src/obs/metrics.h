@@ -15,81 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "obs/schema.h"
 #include "util/stats.h"
 
 namespace dgr::obs {
-
-// Counter identities. Attribution convention: task counters are charged to
-// the PE that executed the task; message counters to the sending PE.
-enum class Counter : std::uint8_t {
-  kMarkTasks = 0,    // kMark executions
-  kReturnTasks,      // kMarkReturn executions
-  kReductionTasks,   // reduction-task executions
-  kRemoteMessages,   // spawns crossing a PE boundary
-  kLocalMessages,    // same-PE spawns
-  kBytesSent,        // wire-size of remote messages
-  // Fault plane (charged to the sending PE of the affected message).
-  kMsgDroppedInjected,    // messages deleted by the fault schedule
-  kMsgDupInjected,        // messages duplicated by the fault schedule
-  kMsgReorderedInjected,  // messages held back by the fault schedule
-  kMsgTruncatedInjected,  // messages truncated by the fault schedule
-  // Reliable channel (retransmit charged to sender, the rest to receiver).
-  kMsgRetransmit,     // data frames re-sent after RTO expiry
-  kMsgDupSuppressed,  // duplicate data frames discarded by the receiver
-  kMsgDecodeError,    // frames that failed checksum/length validation
-  // Batched message plane (all charged to the sending PE).
-  kMsgBatched,         // messages that traveled inside a coalesced batch
-  kBatchFlush,         // batches flushed (size cap, age cap, or idle/park)
-  kBackpressureStall,  // spawns that stalled on a saturated peer backlog
-  // Locality plane (PR 6). Dedup is charged to the spawning PE; steals to
-  // the thief; edge counters to the PE owning the edge's source vertex.
-  kBoundaryDedup,      // remote child marks suppressed by a boundary summary
-  kStealBatches,       // idle-PE steal passes that took at least one task
-  kStealTasks,         // tasks executed by a PE other than their owner
-  kEdgeCut,            // arg edges whose endpoints live on different PEs
-  kEdgesTotal,         // all arg edges (denominator for the cut fraction)
-  // Cluster plane (PR 8). Handoff/relay bytes are charged to the receiving
-  // worker's first owned PE; telemetry accounting to the reporting worker's
-  // first owned PE.
-  kHandoffBytes,       // partition-snapshot bytes shipped at plane begin
-  kRelayedFrames,      // worker→worker data frames relayed through the hub
-  kRelayedBytes,       // payload bytes of those relayed frames
-  kTelemetryMsgs,      // kTelemetry payloads merged by the controller
-  kTelemetryDropped,   // trace events lost before merge (ring + payload cap)
-  // Dynamic membership + differential handoffs (docs/CLUSTER.md).
-  kWorkerLost,           // worker processes declared dead (EOF / deadline)
-  kPartitionReassigned,  // PEs whose owning worker changed on recovery
-  kHandoffFullBytes,     // full-snapshot handoff payload bytes
-  kHandoffDeltaBytes,    // differential handoff payload bytes
-  kHandoffResyncs,       // checksum mismatches that forced a full resync
-  // Workload driver (src/workload, docs/WORKLOAD.md). Session counters are
-  // charged to the session root's PE; stall time is attributed to the
-  // controller phase observed when the mutation was submitted.
-  kSessionsOpened,     // sessions admitted (anchor edge added)
-  kSessionsClosed,     // sessions retired (anchor edge dropped)
-  kSessionChurnOps,    // churn mutations applied (acquire / drop / inject)
-  kSessionsRejected,   // arrivals refused because the store was full
-  kMutatorOps,         // timed driver mutations (stall histogram samples)
-  kMutatorStallIdleUs,     // stall µs submitted while the controller was idle
-  kMutatorStallMarkUs,     // stall µs submitted while a plane was marking
-  kMutatorStallQuiesceUs,  // stall µs submitted while restructuring was due
-  kCount_,
-};
-inline constexpr std::size_t kNumCounters =
-    static_cast<std::size_t>(Counter::kCount_);
-const char* counter_name(Counter c);
-
-enum class Hist : std::uint8_t {
-  kMarkQueueDepth = 0,  // marking queue / mailbox depth at service time
-  kPoolDepth,           // reduction pool depth at service time
-  kMsgLatency,          // cross-PE delivery latency (sim steps)
-  kChannelRtt,          // reliable-channel clean RTT samples (microseconds)
-  kBatchFillPct,        // flushed batch fill (percent of the size cap)
-  kMutatorStallUs,      // driver mutation blocked on locks/quiesce (µs)
-  kCount_,
-};
-inline constexpr std::size_t kNumHists = static_cast<std::size_t>(Hist::kCount_);
-const char* hist_name(Hist h);
 
 class MetricsRegistry {
  public:

@@ -2,40 +2,6 @@
 
 namespace dgr::obs {
 
-const char* event_name(EventType t) {
-  switch (t) {
-    case EventType::kCycleStart: return "cycle_start";
-    case EventType::kPhaseBegin: return "phase_begin";
-    case EventType::kPhaseEnd: return "phase_end";
-    case EventType::kWaveFront: return "wave_front";
-    case EventType::kRescueWave: return "rescue_wave";
-    case EventType::kRescueQueued: return "rescue_queued";
-    case EventType::kCoopTaint: return "coop_taint";
-    case EventType::kSweep: return "sweep";
-    case EventType::kExpunge: return "expunge";
-    case EventType::kReprioritize: return "reprioritize";
-    case EventType::kDeadlockReport: return "deadlock_report";
-    case EventType::kDeadlockVertex: return "deadlock_vertex";
-    case EventType::kCycleEnd: return "cycle_end";
-    case EventType::kAudit: return "audit";
-    case EventType::kHealthWarning: return "health_warning";
-    case EventType::kFaultInjected: return "fault_injected";
-    case EventType::kMsgRetransmit: return "msg_retransmit";
-    case EventType::kMsgDupSuppressed: return "dup_suppressed";
-    case EventType::kBatchFlush: return "batch_flush";
-    case EventType::kBackpressureStall: return "backpressure_stall";
-    case EventType::kTraceDrop: return "trace_drop";
-    case EventType::kWorkerLost: return "worker_lost";
-    case EventType::kPartitionReassign: return "partition_reassign";
-    case EventType::kHandoffResync: return "handoff_resync";
-    case EventType::kSessionOpen: return "session_open";
-    case EventType::kSessionChurn: return "session_churn";
-    case EventType::kSessionClose: return "session_close";
-    case EventType::kCount_: break;
-  }
-  return "?";
-}
-
 TraceBuffer::TraceBuffer(std::size_t capacity)
     : ring_(capacity ? capacity : 1) {}
 

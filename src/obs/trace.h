@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "graph/vertex.h"
+#include "obs/schema.h"
 
 #ifndef DGR_TRACE_ENABLED
 #define DGR_TRACE_ENABLED 1
@@ -40,72 +41,10 @@
 
 namespace dgr::obs {
 
-enum class EventType : std::uint8_t {
-  kCycleStart = 0,   // controller: cycle kicked off        a = #roots
-  kPhaseBegin,       // controller: M_T / M_R wave launched a = epoch
-  kPhaseEnd,         // controller: wave terminated         a = marks, b = returns
-  kWaveFront,        // marker: every Nth mark exec         a = marks so far
-  kRescueWave,       // marker: supplementary wave launched a = #seeds
-  kRescueQueued,     // mutator: acquired ref queued        pe = referent's PE
-  kCoopTaint,        // mutator: no transient helper; cycle tainted
-  kSweep,            // controller: restructure (a)         a = vertices freed
-  kExpunge,          // controller: restructure (b)         a = tasks expunged
-  kReprioritize,     // controller: restructure (c)         a = tasks retargeted
-  kDeadlockReport,   // controller: restructure (d)         a = |DL'_v|
-  kDeadlockVertex,   // controller: one DL'_v member        pe = owner, a = idx
-  kCycleEnd,         // controller: cycle complete          a = swept, b = expunged
-  kAudit,            // engine: safe-point audit ran        a = violations, b = |GAR'|
-  kHealthWarning,    // watchdog/audit: health flag         a = HealthKind, b = detail
-  kFaultInjected,    // fault plane: fault applied          pe = sender, a = FaultKind, b = bytes
-  kMsgRetransmit,    // channel: data frame re-sent         pe = sender, a = seq, b = attempt
-  kMsgDupSuppressed, // channel: duplicate discarded        pe = receiver, a = seq
-  kBatchFlush,       // message plane: batch flushed        pe = sender, a = #messages, b = bytes
-  kBackpressureStall,// engine: spawn stalled on backlog    pe = sender, a = dst, b = backlog
-  kTraceDrop,        // telemetry: events lost upstream     a = ring drops, b = payload-cap drops
-  kWorkerLost,       // membership: worker declared dead    pe = home PE, a = worker, b = new gen
-  kPartitionReassign,// membership: PEs moved to survivors  a = PEs moved, b = survivors
-  kHandoffResync,    // membership: replica checksum diverged  a = worker, b = handoff seq
-  // Workload driver (src/workload). Payloads are schedule facts, never
-  // engine timings, so a seeded run's session events are engine-independent
-  // (the determinism contract tested by tests/test_workload.cpp).
-  kSessionOpen,      // driver: session admitted   pe = root PE, a = session, b = size
-  kSessionChurn,     // driver: churn op applied   pe = root PE, a = session, b = op<<32|hot
-  kSessionClose,     // driver: session retired    pe = root PE, a = session, b = ticks lived
-  kCount_,
-};
-inline constexpr std::size_t kNumEventTypes =
-    static_cast<std::size_t>(EventType::kCount_);
-const char* event_name(EventType t);
-
-// Payload `a` of kHealthWarning events (emitted by the ThreadEngine watchdog
-// and by the SafePointAuditor of core/audit.h, which ThreadEngine and
-// ProcEngine share).
-enum class HealthKind : std::uint8_t {
-  kMarkStall = 0,      // marking wave made no front progress   b = stalled marks
-  kMailboxSaturated,   // mailbox backlog over threshold        b = backlog, pe set
-  kRescueStorm,        // rescue waves over threshold in cycle  b = waves
-  kAuditViolation,     // safe-point audit found a violation    b = audit #
-  kCount_,
-};
-inline constexpr std::size_t kNumHealthKinds =
-    static_cast<std::size_t>(HealthKind::kCount_);
-// Inline (not in trace.cpp): health counters survive -DDGR_TRACE=OFF, so
-// their names must too.
-inline const char* health_kind_name(HealthKind k) {
-  switch (k) {
-    case HealthKind::kMarkStall: return "mark_stall";
-    case HealthKind::kMailboxSaturated: return "mailbox_saturated";
-    case HealthKind::kRescueStorm: return "rescue_storm";
-    case HealthKind::kAuditViolation: return "audit_violation";
-    case HealthKind::kCount_: break;
-  }
-  return "?";
-}
-
 struct TraceEvent {
   std::uint64_t ts = 0;     // engine clock (sim steps / µs)
   std::uint64_t cycle = 0;  // marking-cycle number; 0 = not cycle-scoped
-  std::uint64_t a = 0;      // payload (see EventType comments)
+  std::uint64_t a = 0;      // payload (see DGR_OBS_EVENTS, obs/schema.h)
   std::uint64_t b = 0;
   EventType type = EventType::kCycleStart;
   Plane plane = Plane::kR;

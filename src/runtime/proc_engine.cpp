@@ -6,12 +6,12 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 #include <thread>
 
 #include "graph/partitioner.h"
 #include "net/wire.h"
+#include "obs/json.h"
 #include "util/assert.h"
 #include "util/log.h"
 
@@ -451,7 +451,8 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       ++stats_.handoff_resyncs;
       metrics_.add(home_pe(worker), obs::Counter::kHandoffResyncs);
       DGR_TRACE_EVENT(trace_.get(), obs::EventType::kHandoffResync,
-                      Plane::kR, home_pe(worker), worker, ack.seq);
+                      Plane::kR, home_pe(worker),
+                      controller_->cycles_completed() + 1, worker, ack.seq);
       acked_seq_[worker] = 0;
       force_full_[worker] = 1;
       fence_and_restart();
@@ -536,7 +537,7 @@ void ProcEngine::on_worker_lost(std::uint32_t worker) {
             "survivors",
             worker, (unsigned)gen_, (unsigned)(gen_ + 1), s.pes.size(), live);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kWorkerLost, Plane::kR, home,
-                  worker, gen_ + 1);
+                  controller_->cycles_completed() + 1, worker, gen_ + 1);
   repartition_onto_survivors();
   fence_and_restart();
 }
@@ -578,7 +579,8 @@ void ProcEngine::repartition_onto_survivors() {
   metrics_.add(home_pe(survivors[0]), obs::Counter::kPartitionReassigned,
                moved);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kPartitionReassign, Plane::kR,
-                  0, moved, survivors.size());
+                  0, controller_->cycles_completed() + 1, moved,
+                  survivors.size());
 }
 
 void ProcEngine::fence_and_restart() {
@@ -762,58 +764,47 @@ std::string ProcEngine::cluster_metrics_json() const {
     for (PeId pe : slots_[w].pes) n += metrics_.get(pe, c);
     return n;
   };
+  using obs::append_kv;
   std::string out = metrics_.to_json();
   out.pop_back();  // reopen the registry object to append the rollup
-  char buf[640];
-  std::snprintf(buf, sizeof(buf), ",\"num_workers\":%u,\"workers\":[",
-                num_workers_);
-  out += buf;
+  out += ',';
+  append_kv(out, "num_workers", num_workers_);
+  out += "\"workers\":[";
   for (std::uint32_t w = 0; w < num_workers_; ++w) {
-    const std::uint64_t rf = w < relay.size() ? relay[w].frames : 0;
-    const std::uint64_t rb = w < relay.size() ? relay[w].bytes : 0;
-    std::snprintf(
-        buf, sizeof(buf),
-        "%s{\"worker\":%u,\"pe_begin\":%u,\"pe_count\":%u,\"alive\":%s,"
-        "\"marks\":%llu,\"returns\":%llu,\"remote_messages\":%llu,"
-        "\"retransmits\":%llu,\"handoff_bytes\":%llu,"
-        "\"handoff_full_bytes\":%llu,\"handoff_delta_bytes\":%llu,"
-        "\"relayed_frames\":%llu,\"relayed_bytes\":%llu,"
-        "\"telemetry_msgs\":%llu,\"telemetry_dropped\":%llu,"
-        "\"clock_offset_us\":%lld,\"clock_rtt_us\":%llu}",
-        w == 0 ? "" : ",", w, slots_[w].pe_begin,
-        static_cast<std::uint32_t>(slots_[w].pes.size()),
-        slots_[w].alive ? "true" : "false",
-        (unsigned long long)range_sum(w, obs::Counter::kMarkTasks),
-        (unsigned long long)range_sum(w, obs::Counter::kReturnTasks),
-        (unsigned long long)range_sum(w, obs::Counter::kRemoteMessages),
-        (unsigned long long)range_sum(w, obs::Counter::kMsgRetransmit),
-        (unsigned long long)slots_[w].handoff_bytes,
-        (unsigned long long)slots_[w].handoff_full_bytes,
-        (unsigned long long)slots_[w].handoff_delta_bytes,
-        (unsigned long long)rf, (unsigned long long)rb,
-        (unsigned long long)tele_[w].telemetry_msgs,
-        (unsigned long long)(tele_[w].ring_dropped +
-                             tele_[w].events_omitted),
-        (long long)clock_[w].offset_us(),
-        (unsigned long long)clock_[w].rtt_us());
-    out += buf;
+    const WorkerSlot& s = slots_[w];
+    out += w == 0 ? "{" : ",{";
+    append_kv(out, "worker", w);
+    append_kv(out, "pe_begin", s.pe_begin);
+    append_kv(out, "pe_count", s.pes.size());
+    append_kv(out, "alive", s.alive);
+    append_kv(out, "marks", range_sum(w, obs::Counter::kMarkTasks));
+    append_kv(out, "returns", range_sum(w, obs::Counter::kReturnTasks));
+    append_kv(out, "remote_messages",
+              range_sum(w, obs::Counter::kRemoteMessages));
+    append_kv(out, "retransmits", range_sum(w, obs::Counter::kMsgRetransmit));
+    append_kv(out, "handoff_bytes", s.handoff_bytes);
+    append_kv(out, "handoff_full_bytes", s.handoff_full_bytes);
+    append_kv(out, "handoff_delta_bytes", s.handoff_delta_bytes);
+    append_kv(out, "relayed_frames", w < relay.size() ? relay[w].frames : 0);
+    append_kv(out, "relayed_bytes", w < relay.size() ? relay[w].bytes : 0);
+    append_kv(out, "telemetry_msgs", tele_[w].telemetry_msgs);
+    append_kv(out, "telemetry_dropped",
+              tele_[w].ring_dropped + tele_[w].events_omitted);
+    append_kv(out, "clock_offset_us", clock_[w].offset_us());
+    append_kv(out, "clock_rtt_us", clock_[w].rtt_us(), false);
+    out += '}';
   }
-  out += "]";
-  std::snprintf(
-      buf, sizeof(buf),
-      ",\"membership\":{\"gen\":%u,\"workers_total\":%u,\"workers_live\":%u,"
-      "\"worker_lost\":%llu,\"partition_reassigned\":%llu,"
-      "\"handoff_resyncs\":%llu,\"recoveries\":%llu,"
-      "\"handoffs_full\":%llu,\"handoffs_delta\":%llu}",
-      (unsigned)gen_, num_workers_, live_count_locked(),
-      (unsigned long long)stats_.workers_lost,
-      (unsigned long long)stats_.partitions_reassigned,
-      (unsigned long long)stats_.handoff_resyncs,
-      (unsigned long long)stats_.recoveries,
-      (unsigned long long)stats_.handoffs_full,
-      (unsigned long long)stats_.handoffs_delta);
-  out += buf;
-  out += "}";
+  out += "],\"membership\":{";
+  append_kv(out, "gen", gen_);
+  append_kv(out, "workers_total", num_workers_);
+  append_kv(out, "workers_live", live_count_locked());
+  append_kv(out, "worker_lost", stats_.workers_lost);
+  append_kv(out, "partition_reassigned", stats_.partitions_reassigned);
+  append_kv(out, "handoff_resyncs", stats_.handoff_resyncs);
+  append_kv(out, "recoveries", stats_.recoveries);
+  append_kv(out, "handoffs_full", stats_.handoffs_full);
+  append_kv(out, "handoffs_delta", stats_.handoffs_delta, false);
+  out += "}}";
   return out;
 }
 

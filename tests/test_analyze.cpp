@@ -8,6 +8,7 @@
 
 #include "obs/analyze.h"
 #include "obs/export.h"
+#include "obs/json.h"
 
 namespace dgr::obs {
 namespace {
@@ -38,25 +39,9 @@ TraceEvent ev(EventType type, Plane plane, std::uint16_t pe,
   return e;
 }
 
-// Braces/brackets balanced and no bare control characters — cheap validity
-// proxy for the deterministic JSON the analyzer emits.
-void expect_balanced_json(const std::string& s) {
-  int depth = 0;
-  bool in_str = false;
-  for (std::size_t i = 0; i < s.size(); ++i) {
-    const char c = s[i];
-    if (in_str) {
-      if (c == '\\') ++i;
-      else if (c == '"') in_str = false;
-      continue;
-    }
-    if (c == '"') in_str = true;
-    else if (c == '{' || c == '[') ++depth;
-    else if (c == '}' || c == ']') --depth;
-    EXPECT_GE(depth, 0);
-  }
-  EXPECT_EQ(depth, 0);
-  EXPECT_FALSE(in_str);
+// The analyzer's JSON must parse as a whole document.
+void expect_valid_json(const std::string& s) {
+  EXPECT_TRUE(JsonReader(s).ok()) << s.substr(0, 200);
 }
 
 TEST(Analyze, SyntheticCycleAndWaveLatency) {
@@ -161,7 +146,7 @@ TEST(Analyze, GoldenGcCycleTrace) {
   for (const PeLoad& p : enriched.pes) total_marks += p.mark_tasks;
   EXPECT_GT(total_marks, 0u);
 
-  expect_balanced_json(report_to_json(enriched));
+  expect_valid_json(report_to_json(enriched));
   EXPECT_NE(report_to_text(enriched).find("== cycles =="), std::string::npos);
 }
 
@@ -192,7 +177,7 @@ TEST(Analyze, GoldenDeadlockTraceNamesWedgedVertex) {
   EXPECT_EQ(reporting_cycles, r.deadlocks.size());
 
   const std::string json = report_to_json(r);
-  expect_balanced_json(json);
+  expect_valid_json(json);
   EXPECT_NE(json.find("\"deadlocks\":[{"), std::string::npos);
   EXPECT_NE(report_to_text(r).find("deadlocked: 0:0"), std::string::npos);
 }
@@ -213,7 +198,7 @@ TEST(Analyze, TruncatedTraceIsTolerated) {
   EXPECT_EQ(r.complete_cycles, 2u);
   EXPECT_TRUE(r.cycles[0].complete);   // cycle 3: end seen, start missing
   EXPECT_FALSE(r.cycles[2].complete);  // cycle 5: still open at EOF
-  expect_balanced_json(report_to_json(r));
+  expect_valid_json(report_to_json(r));
 }
 
 TEST(Analyze, MetricsEnrichmentRejectsGarbage) {
@@ -221,6 +206,116 @@ TEST(Analyze, MetricsEnrichmentRejectsGarbage) {
   EXPECT_FALSE(enrich_with_metrics_json(r, "not json at all"));
   EXPECT_FALSE(enrich_with_metrics_json(r, "{\"something\":1}"));
   EXPECT_FALSE(r.metrics_enriched);
+}
+
+// ---- JSON reader: input from disk that must be rejected, not misread ------
+
+TEST(JsonReaderTest, ParsesNestedDocumentAndTypedReads) {
+  const std::string doc =
+      "{\"n\":18446744073709551615,\"neg\":-250,\"x\":1.5e+06,"
+      "\"s\":\"a\\\"b\",\"o\":{\"k\":[1,true,null]}}";
+  JsonReader j(doc);
+  ASSERT_TRUE(j.ok());
+  std::uint64_t n = 0;
+  std::int64_t neg = 0;
+  double x = 0;
+  std::string_view str;
+  EXPECT_TRUE(j.read(j.root(), "n", &n));
+  EXPECT_EQ(n, 18446744073709551615ull);
+  EXPECT_TRUE(j.read(j.root(), "neg", &neg));
+  EXPECT_EQ(neg, -250);
+  EXPECT_TRUE(j.read(j.root(), "x", &x));
+  EXPECT_DOUBLE_EQ(x, 1.5e6);
+  EXPECT_TRUE(j.read(j.root(), "s", &str));
+  EXPECT_EQ(str, "a\\\"b");  // raw body: escapes are not decoded
+  const JsonValue* o = j.object(j.root(), "o");
+  ASSERT_NE(o, nullptr);
+  const JsonValue* k = j.array(*o, "k");
+  ASSERT_NE(k, nullptr);
+  EXPECT_EQ(k->items.size(), 3u);
+  // An absent key is not an error (older dumps lack newer keys).
+  EXPECT_FALSE(j.read(j.root(), "missing", &n));
+  EXPECT_TRUE(j.ok());
+}
+
+TEST(JsonReaderTest, RejectsTruncatedDocument) {
+  const std::string full = slurp(data_path("golden_gc_metrics.json"));
+  ASSERT_TRUE(JsonReader(full).ok());
+  for (std::size_t cut : {std::size_t{1}, full.size() / 2, full.size() - 2}) {
+    const std::string part = full.substr(0, cut);
+    EXPECT_FALSE(JsonReader(part).ok()) << "cut at " << cut;
+    TraceReport r;
+    EXPECT_FALSE(enrich_with_metrics_json(r, part)) << "cut at " << cut;
+    EXPECT_FALSE(r.metrics_enriched);
+  }
+  // A truncated JSONL line is skipped; the whole lines around it survive.
+  const std::string line =
+      "{\"ts\":1,\"type\":\"sweep\",\"plane\":\"R\",\"pe\":0,\"cycle\":3,"
+      "\"a\":17,\"b\":0}\n";
+  const std::vector<TraceEvent> back =
+      from_jsonl(line + line.substr(0, 30) + "\n" + line);
+  EXPECT_EQ(back.size(), 2u);
+}
+
+TEST(JsonReaderTest, RejectsWrongTypeForKnownKey) {
+  JsonReader j("{\"num_pes\":\"4\"}");
+  ASSERT_TRUE(j.ok());  // well-formed; the type is what is wrong
+  std::uint64_t n = 7;
+  EXPECT_FALSE(j.read(j.root(), "num_pes", &n));
+  EXPECT_EQ(n, 7u);
+  EXPECT_FALSE(j.ok());
+
+  TraceReport r;
+  EXPECT_FALSE(enrich_with_metrics_json(r, "{\"num_pes\":\"1\",\"pes\":[]}"));
+  // A per-PE counter of the wrong type fails the whole enrichment and
+  // leaves the report untouched.
+  EXPECT_FALSE(enrich_with_metrics_json(
+      r, "{\"num_pes\":1,\"pes\":[{\"pe\":0,\"counters\":"
+         "{\"mark_tasks\":\"12\"}}]}"));
+  EXPECT_FALSE(enrich_with_metrics_json(
+      r, "{\"num_pes\":1,\"pes\":[{\"pe\":0,\"counters\":[]}]}"));
+  EXPECT_FALSE(r.metrics_enriched);
+  EXPECT_TRUE(r.pes.empty());
+  // A negative count is a wrong type for an unsigned key.
+  EXPECT_FALSE(enrich_with_metrics_json(
+      r, "{\"num_pes\":1,\"pes\":[{\"pe\":0,\"counters\":"
+         "{\"mark_tasks\":-3}}]}"));
+  // JSONL: a string where a number belongs drops the line.
+  EXPECT_TRUE(from_jsonl("{\"ts\":\"1\",\"type\":\"sweep\",\"plane\":\"R\","
+                         "\"pe\":0,\"cycle\":3,\"a\":17,\"b\":0}\n")
+                  .empty());
+}
+
+TEST(JsonReaderTest, RejectsBadNumbers) {
+  for (const char* doc :
+       {"{\"num_pes\":-}", "{\"num_pes\":1.}", "{\"num_pes\":1e}",
+        "{\"num_pes\":.5}", "{\"num_pes\":0x10}", "{\"num_pes\":1-2}",
+        "{\"num_pes\":inf}", "{\"num_pes\":--1}"}) {
+    EXPECT_FALSE(JsonReader(doc).ok()) << doc;
+    TraceReport r;
+    EXPECT_FALSE(enrich_with_metrics_json(r, doc)) << doc;
+  }
+  // Well-formed but out of range for the target type.
+  JsonReader j("{\"n\":18446744073709551616,\"f\":2.5}");
+  ASSERT_TRUE(j.ok());
+  std::uint64_t n = 0;
+  EXPECT_FALSE(j.read(j.root(), "n", &n));
+  EXPECT_FALSE(j.read(j.root(), "f", &n));  // a fraction is not a count
+  EXPECT_FALSE(j.ok());
+}
+
+TEST(JsonReaderTest, RejectsNestingDeeperThanLimit) {
+  auto nested = [](int depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_TRUE(JsonReader(nested(kJsonMaxDepth)).ok());
+  EXPECT_FALSE(JsonReader(nested(kJsonMaxDepth + 1)).ok());
+  // Far past the limit (a hostile file): rejected without recursing deep.
+  EXPECT_FALSE(JsonReader(nested(100000)).ok());
+  TraceReport r;
+  EXPECT_FALSE(enrich_with_metrics_json(
+      r, "{\"num_pes\":1,\"pes\":[{\"pe\":0,\"counters\":" +
+             nested(kJsonMaxDepth) + "}]}"));
 }
 
 // ---- Cluster telemetry plane (PR 8) ----------------------------------------
@@ -247,7 +342,7 @@ TEST(Analyze, TraceDropSurvivesJsonlRoundTripAndIsAccounted) {
   EXPECT_EQ(r.trace_dropped, 12u);
   EXPECT_EQ(r.trace_events_omitted, 3u);
   const std::string json = report_to_json(r);
-  expect_balanced_json(json);
+  expect_valid_json(json);
   EXPECT_NE(json.find("\"trace_dropped\":12"), std::string::npos);
   EXPECT_NE(json.find("\"trace_events_omitted\":3"), std::string::npos);
   EXPECT_NE(report_to_text(r).find("TRACE LOSS"), std::string::npos);
@@ -286,10 +381,17 @@ TEST(Analyze, ClusterMetricsDumpFillsWorkerRows) {
   const WorkerRow& w1 = r.workers[1];
   EXPECT_EQ(w1.telemetry_dropped, 9u);
   EXPECT_EQ(w1.clock_offset_us, 300);
+  // Each PE row is read in its own scope: the PE rows carry no
+  // remote_messages key, so the worker rows' values must not leak in.
+  ASSERT_EQ(r.pes.size(), 2u);
+  EXPECT_EQ(r.pes[0].mark_tasks, 50u);
+  EXPECT_EQ(r.pes[1].mark_tasks, 40u);
+  EXPECT_EQ(r.pes[0].remote_messages, 0u);
+  EXPECT_EQ(r.pes[1].remote_messages, 0u);
 
   // Both rendered forms carry the rollup.
   const std::string json = report_to_json(r);
-  expect_balanced_json(json);
+  expect_valid_json(json);
   EXPECT_NE(json.find("\"workers\":[{"), std::string::npos);
   EXPECT_NE(json.find("\"clock_offset_us\":-250"), std::string::npos);
   const std::string text = report_to_text(r);
@@ -309,7 +411,7 @@ TEST(Analyze, ChromeClusterExportLanesPerProcess) {
   workers[1].push_back(make_drop_event(135, 1, 2, 4, 1));
 
   const std::string json = to_chrome_trace_cluster(ctrl, workers, 4);
-  expect_balanced_json(json);
+  expect_valid_json(json);
   EXPECT_NE(json.find("\"controller\""), std::string::npos);
   EXPECT_NE(json.find("\"worker 0\""), std::string::npos);
   EXPECT_NE(json.find("\"worker 1\""), std::string::npos);

@@ -28,6 +28,10 @@
 #include "runtime/proc_engine.h"
 #include "util/rng.h"
 
+#if DGR_TRACE_ENABLED
+#include "obs/analyze.h"
+#endif
+
 namespace dgr {
 namespace {
 
@@ -43,6 +47,7 @@ struct RigParams {
   std::uint32_t capacity = 900;
   std::uint32_t vertices = 500;
   std::uint32_t tasks = 12;
+  bool trace = false;  // arm the controller trace ring before start()
 };
 
 // Same shape as test_proc_engine's rig: build a seeded graph, fork workers,
@@ -59,6 +64,7 @@ class Rig {
     b_ = build_random_graph(g_, opt);
     eng_ = std::make_unique<ProcEngine>(g_, popt);
     eng_->set_root(b_.root);
+    if (rp.trace) eng_->enable_trace();
     for (const TaskRef& t : b_.tasks)
       eng_->inject(Task::request(t.s, t.d, ReqKind::kVital));
     eng_->start();
@@ -168,6 +174,59 @@ TEST(Membership, KillWhileIdleSurvivorsMatchOracle) {
   EXPECT_EQ(s.workers_lost, 1u);
 }
 
+#if DGR_TRACE_ENABLED
+// ---- Membership events carry the documented payloads. ----
+
+// The single event of type `t` in `events` (fails the test otherwise).
+obs::TraceEvent only_event(const std::vector<obs::TraceEvent>& events,
+                           obs::EventType t) {
+  std::vector<obs::TraceEvent> hits;
+  for (const obs::TraceEvent& e : events)
+    if (e.type == t) hits.push_back(e);
+  EXPECT_EQ(hits.size(), 1u) << obs::event_name(t);
+  return hits.empty() ? obs::TraceEvent{} : hits[0];
+}
+
+TEST(Membership, TracedKillEmitsDocumentedPayloads) {
+  RigParams rp;
+  rp.trace = true;
+  ProcOptions popt;
+  popt.workers = 3;
+  Rig rig(rp, popt);
+  rig.cycle_checked(/*detect_deadlock=*/false, 0);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const long pid = rig.eng().worker_pid(1);
+  ASSERT_GT(pid, 0);
+  ASSERT_EQ(::kill(static_cast<pid_t>(pid), SIGKILL), 0);
+  rig.wait_worker_dead(1);
+  if (::testing::Test::HasFatalFailure()) return;
+  rig.cycle_checked(false, 1);
+  if (::testing::Test::HasFatalFailure()) return;
+
+  const ProcEngineStats s = rig.eng().stats();
+  const std::vector<obs::TraceEvent> events = rig.eng().trace()->snapshot();
+  // worker_lost: a = worker, b = the generation the loss fenced to.
+  const obs::TraceEvent lost =
+      only_event(events, obs::EventType::kWorkerLost);
+  EXPECT_EQ(lost.a, 1u);
+  EXPECT_EQ(lost.b, rig.eng().membership_gen());
+  EXPECT_EQ(lost.cycle, 2u);  // one cycle completed before the kill
+  // partition_reassign: a = PEs moved, b = survivors.
+  const obs::TraceEvent moved =
+      only_event(events, obs::EventType::kPartitionReassign);
+  EXPECT_EQ(moved.a, s.partitions_reassigned);
+  EXPECT_EQ(moved.b, 2u);
+  EXPECT_EQ(moved.cycle, 2u);
+
+  // The trace alone reconstructs the membership ledger.
+  const obs::TraceReport r = obs::analyze(events);
+  EXPECT_EQ(r.workers_lost, s.workers_lost);
+  EXPECT_EQ(r.partition_reassigns, 1u);
+  EXPECT_EQ(r.pes_reassigned, s.partitions_reassigned);
+}
+#endif  // DGR_TRACE_ENABLED
+
 // ---- Loss mid-cycle: the wave aborts, restarts on survivors, completes. --
 
 TEST(Membership, KillMidCycleRestartsAndCompletes) {
@@ -267,6 +326,7 @@ TEST(Membership, CorruptReplicaForcesChecksumResync) {
   ASSERT_EQ(::setenv("DGR_TEST_CORRUPT_HANDOFF", "1:2", 1), 0);
   RigParams rp;
   rp.seed = 17;
+  rp.trace = true;
   ProcOptions popt;
   popt.workers = 2;
   {
@@ -281,6 +341,18 @@ TEST(Membership, CorruptReplicaForcesChecksumResync) {
     EXPECT_EQ(s.workers_lost, 0u);  // a resync is not a loss
     EXPECT_GE(rig.eng().membership_gen(), 1u);  // but it does fence
     EXPECT_EQ(rig.eng().workers_live(), 2u);
+#if DGR_TRACE_ENABLED
+    // handoff_resync: a = the diverged worker, b = the nacked handoff seq.
+    bool saw_resync = false;
+    for (const obs::TraceEvent& e : rig.eng().trace()->snapshot()) {
+      if (e.type != obs::EventType::kHandoffResync) continue;
+      saw_resync = true;
+      EXPECT_EQ(e.a, 1u);
+      EXPECT_EQ(e.b, 2u);
+      EXPECT_GE(e.cycle, 1u);
+    }
+    EXPECT_TRUE(saw_resync);
+#endif
   }
   ASSERT_EQ(::unsetenv("DGR_TEST_CORRUPT_HANDOFF"), 0);
 }

@@ -1,10 +1,15 @@
 // Tests for the observability layer: the per-PE metrics registry (concurrent
 // counter integrity, engine wiring) and the trace ring buffer + exporters
 // (JSONL round-trip, Chrome export shape, ring overflow, and byte-identical
-// traces across same-seed simulator runs).
+// traces across same-seed simulator runs), plus the docs tables held to the
+// telemetry schema (obs/schema.h).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <fstream>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -121,6 +126,48 @@ TEST(MetricsRegistry, SimEngineChargesExecutingPe) {
 }
 
 #if DGR_TRACE_ENABLED
+
+// The backticked names in the first column of the docs/OBSERVABILITY.md
+// table whose header row starts with `| <header>`, sorted.
+std::vector<std::string> docs_table_names(const std::string& header) {
+  std::ifstream in(std::string(DGR_SOURCE_DIR) + "/docs/OBSERVABILITY.md");
+  EXPECT_TRUE(in.good());
+  std::vector<std::string> names;
+  std::string line;
+  bool in_table = false;
+  while (std::getline(in, line)) {
+    if (!in_table) {
+      in_table = line.rfind("| " + header + " ", 0) == 0;
+      continue;
+    }
+    if (line.empty() || line[0] != '|') break;
+    const std::string cell = line.substr(1, line.find('|', 1) - 1);
+    for (std::size_t b = cell.find('`'); b != std::string::npos;) {
+      const std::size_t e = cell.find('`', b + 1);
+      if (e == std::string::npos) break;
+      names.push_back(cell.substr(b + 1, e - b - 1));
+      b = cell.find('`', e + 1);
+    }
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+template <std::size_t N>
+std::vector<std::string> schema_names(const char* const (&table)[N]) {
+  std::vector<std::string> names(table, table + N);
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(ObsDocs, TablesMatchSchema) {
+  EXPECT_EQ(docs_table_names("Counter"),
+            schema_names(obs::kCounterNames));
+  EXPECT_EQ(docs_table_names("Histogram"),
+            schema_names(obs::kHistNames));
+  EXPECT_EQ(docs_table_names("type"),
+            schema_names(obs::kEventNames));
+}
 
 TEST(TraceBuffer, RingOverflowDropsOldest) {
   obs::TraceBuffer t(8);

@@ -467,9 +467,7 @@ int main(int argc, char** argv) {
   }
 
   std::string out = "{";
-  out += "\"engine\":\"";
-  out += eng->name();
-  out += "\",";
+  append_kv(out, "engine", eng->name());
   append_kv(out, "seed", base_seed);
   append_kv(out, "pes", static_cast<std::uint64_t>(wopt.pes));
   append_kv(out, "epochs", static_cast<std::uint64_t>(epochs_run));
@@ -506,8 +504,7 @@ int main(int argc, char** argv) {
   append_kv(out, "workers_lost", workers_lost);
   append_kv(out, "recoveries", recoveries);
   append_kv(out, "workers_live", static_cast<std::uint64_t>(workers_live));
-  out += "\"ok\":";
-  out += rc == 0 ? "true" : "false";
+  append_kv(out, "ok", rc == 0, false);
   out += "}\n";
   if (report_path)
     write_file(report_path, out);
