@@ -81,8 +81,8 @@ void table() {
           if (!std::binary_search(want.begin(), want.end(), v)) ++false_pos;
         std::printf("%6u %8u %8u %8zu %10zu %10llu %12llu %12s\n", pes,
                     n_live, n_dead, found.size(), false_pos,
-                    (unsigned long long)res.stats_t.marks.load(),
-                    (unsigned long long)res.stats_r.marks.load(),
+                    (unsigned long long)res.stats_t.marks,
+                    (unsigned long long)res.stats_r.marks,
                     found == want ? "yes" : "NO");
       }
     }

@@ -32,10 +32,10 @@ void run_family(const char* name, Graph& g, VertexId root) {
   eng.run_until_cycle_done();
   const MarkStats& st = eng.controller().last().stats_r;
   std::printf("%10s %10zu %10zu %10llu %10llu %10llu %12.3f\n", name, V, E,
-              (unsigned long long)st.marks.load(),
-              (unsigned long long)st.returns.load(),
-              (unsigned long long)st.remarks.load(),
-              static_cast<double>(st.marks.load()) /
+              (unsigned long long)st.marks,
+              (unsigned long long)st.returns,
+              (unsigned long long)st.remarks,
+              static_cast<double>(st.marks) /
                   static_cast<double>(E ? E : 1));
 }
 

@@ -6,6 +6,42 @@
 
 namespace dgr {
 
+Marker::Marker(Graph& g, TaskSink& sink) : g_(g), sink_(sink) {
+  for (PlaneState& ps : state_)
+    ps.shards = std::make_unique<StatShard[]>(g_.num_pes());
+}
+
+void Marker::reset_stats(PlaneState& ps) {
+  for (std::uint32_t pe = 0; pe < g_.num_pes(); ++pe) {
+    StatShard& s = ps.shards[pe];
+    s.marks.store(0, std::memory_order_relaxed);
+    s.returns.store(0, std::memory_order_relaxed);
+    s.remarks.store(0, std::memory_order_relaxed);
+    s.coop_spawns.store(0, std::memory_order_relaxed);
+  }
+}
+
+MarkStats Marker::stats(Plane plane) const {
+  MarkStats out;
+  const PlaneState& ps = st(plane);
+  for (std::uint32_t pe = 0; pe < g_.num_pes(); ++pe) {
+    const StatShard& s = ps.shards[pe];
+    out.marks += s.marks.load(std::memory_order_relaxed);
+    out.returns += s.returns.load(std::memory_order_relaxed);
+    out.remarks += s.remarks.load(std::memory_order_relaxed);
+    out.coop_spawns += s.coop_spawns.load(std::memory_order_relaxed);
+  }
+  return out;
+}
+
+void Marker::add_remote_stats(Plane plane, const MarkStats& s) {
+  StatShard& d = st(plane).shards[0];
+  d.marks.fetch_add(s.marks, std::memory_order_relaxed);
+  d.returns.fetch_add(s.returns, std::memory_order_relaxed);
+  d.remarks.fetch_add(s.remarks, std::memory_order_relaxed);
+  d.coop_spawns.fetch_add(s.coop_spawns, std::memory_order_relaxed);
+}
+
 void Marker::begin(Plane plane, VertexId root, std::uint8_t root_prior) {
   PlaneState& ps = st(plane);
   DGR_CHECK_MSG(!ps.active, "marking phase already active on this plane");
@@ -13,7 +49,7 @@ void Marker::begin(Plane plane, VertexId root, std::uint8_t root_prior) {
   ps.active = true;
   ps.done = false;
   ps.tainted = false;
-  ps.stats.reset();
+  reset_stats(ps);
   ps.rescue_q.clear();
   ps.rescue_waves = 0;
   // "Marking is started by spawning the task mark1(root, rootpar)" (§4.1).
@@ -36,7 +72,7 @@ void Marker::exec_mark_now(Plane plane, VertexId v, VertexId par,
 
 void Marker::spawn_mark(Plane plane, VertexId v, VertexId par,
                         std::uint8_t prior) {
-  ++st(plane).stats.coop_spawns;
+  shard(plane, v).coop_spawns.fetch_add(1, std::memory_order_relaxed);
   sink_.spawn(Task::mark(plane, v, par, prior));
 }
 
@@ -56,13 +92,14 @@ void Marker::spawn_return(Plane plane, VertexId par) {
 
 void Marker::exec_mark(Plane plane, VertexId v, VertexId par,
                        std::uint8_t prior) {
-  PlaneState& ps = st(plane);
+  StatShard& sh = shard(plane, v);
 #if DGR_TRACE_ENABLED
-  const std::uint64_t nmarks = ++ps.stats.marks;
+  const std::uint64_t nmarks =
+      sh.marks.fetch_add(1, std::memory_order_relaxed) + 1;
   if (trace_ && nmarks % kWaveFrontPeriod == 0)
     trace_->emit(obs::EventType::kWaveFront, plane, v.pe, 0, nmarks);
 #else
-  ++ps.stats.marks;
+  sh.marks.fetch_add(1, std::memory_order_relaxed);
 #endif
   Vertex& vx = g_.at(v);
   DGR_CHECK_MSG(vx.live, "mark task reached a freed vertex");
@@ -86,7 +123,7 @@ void Marker::exec_mark(Plane plane, VertexId v, VertexId par,
   } else {
     // Priority upgrade: release the old parent (its subtree-completion
     // obligation transfers to the new parent), then re-mark.
-    ++ps.stats.remarks;
+    sh.remarks.fetch_add(1, std::memory_order_relaxed);
     if (m.color == Color::kTransient) spawn_return(plane, m.mt_par);
     modify(plane, v, m, par, prior);
   }
@@ -148,8 +185,7 @@ void Marker::modify(Plane plane, VertexId v, MarkPlane& m, VertexId par,
 }
 
 void Marker::exec_return(Plane plane, VertexId v) {
-  PlaneState& ps = st(plane);
-  ++ps.stats.returns;
+  shard(plane, v).returns.fetch_add(1, std::memory_order_relaxed);
   Vertex& vx = g_.at(v);
   MarkPlane& m = fresh(vx, plane);
   DGR_CHECK_MSG(m.mt_cnt > 0, "return1 underflow: broken marking invariant 3");

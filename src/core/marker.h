@@ -19,6 +19,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 
 #include "core/task.h"
 #include "graph/graph.h"
@@ -29,40 +30,18 @@ namespace obs {
 class TraceBuffer;
 }
 
-// Counters are atomic so the multi-threaded engine can execute marking tasks
-// on many PE threads concurrently (each task execution holds only its own
-// vertex's lock).
+// One plane's wave counters, as a value (Marker::stats sums them from the
+// marker's per-PE shards; a worker report or a CycleResult carries a copy).
 struct MarkStats {
-  std::atomic<std::uint64_t> marks{0};    // mark tasks executed
-  std::atomic<std::uint64_t> returns{0};  // return tasks executed
-  std::atomic<std::uint64_t> remarks{0};  // priority-upgrade re-marks
-  std::atomic<std::uint64_t> coop_spawns{0};  // marks spawned by cooperation
-
-  MarkStats() = default;
-  MarkStats(const MarkStats& o) { copy_from(o); }
-  MarkStats& operator=(const MarkStats& o) {
-    copy_from(o);
-    return *this;
-  }
-  void reset() {
-    marks = 0;
-    returns = 0;
-    remarks = 0;
-    coop_spawns = 0;
-  }
-
- private:
-  void copy_from(const MarkStats& o) {
-    marks = o.marks.load(std::memory_order_relaxed);
-    returns = o.returns.load(std::memory_order_relaxed);
-    remarks = o.remarks.load(std::memory_order_relaxed);
-    coop_spawns = o.coop_spawns.load(std::memory_order_relaxed);
-  }
+  std::uint64_t marks = 0;        // mark tasks executed
+  std::uint64_t returns = 0;      // return tasks executed
+  std::uint64_t remarks = 0;      // priority-upgrade re-marks
+  std::uint64_t coop_spawns = 0;  // marks spawned by cooperation
 };
 
 class Marker {
  public:
-  Marker(Graph& g, TaskSink& sink) : g_(g), sink_(sink) {}
+  Marker(Graph& g, TaskSink& sink);
 
   // Begin a marking phase on `plane` from `root` (the computation-graph root
   // for kR; troot for kT). Bumps the plane epoch (unmarking everything) and
@@ -108,7 +87,7 @@ class Marker {
     ps.active = true;
     ps.done = false;
     ps.tainted = false;
-    ps.stats.reset();
+    reset_stats(ps);
     ps.rescue_q.clear();
   }
 
@@ -128,13 +107,7 @@ class Marker {
 
   // Controller side: fold a worker's wave counters into this plane's stats
   // (the controller executed no mark tasks itself).
-  void add_remote_stats(Plane plane, const MarkStats& s) {
-    MarkStats& d = st(plane).stats;
-    d.marks += s.marks.load(std::memory_order_relaxed);
-    d.returns += s.returns.load(std::memory_order_relaxed);
-    d.remarks += s.remarks.load(std::memory_order_relaxed);
-    d.coop_spawns += s.coop_spawns.load(std::memory_order_relaxed);
-  }
+  void add_remote_stats(Plane plane, const MarkStats& s);
 
   // Invoked by launch_rescue_wave after the rescue root is prepared and
   // before any seed is spawned: a distributed controller broadcasts the
@@ -231,20 +204,35 @@ class Marker {
     return st(plane).rescue_waves.load(std::memory_order_relaxed);
   }
 
-  const MarkStats& stats(Plane plane) const { return st(plane).stats; }
+  // The plane's counters, summed over the per-PE shards. Exact once the
+  // wave has terminated; a mid-wave read may lag the running wave.
+  MarkStats stats(Plane plane) const;
 
   // Observability: emit wave-front / rescue-wave events into `t` (nullptr
-  // disables). Wave fronts are sampled every kWaveFrontPeriod mark execs.
+  // disables). Wave fronts are sampled per PE: every kWaveFrontPeriod-th
+  // mark executed on a vertex of PE p emits one event for p, carrying p's
+  // mark count so far this wave.
   void set_trace(obs::TraceBuffer* t) { trace_ = t; }
   static constexpr std::uint32_t kWaveFrontPeriod = 32;
 
  private:
+  // One plane's counters for the vertices of one PE, on a cache line of
+  // its own. Every mark and return task bumps its destination's shard, so
+  // the write stays on the line of the PE that (stealing aside) executes
+  // it, and never on the line of `epoch`, which fresh() reads on every task.
+  struct alignas(64) StatShard {
+    std::atomic<std::uint64_t> marks{0};
+    std::atomic<std::uint64_t> returns{0};
+    std::atomic<std::uint64_t> remarks{0};
+    std::atomic<std::uint64_t> coop_spawns{0};
+  };
+
   struct PlaneState {
     std::atomic<std::uint64_t> epoch{0};
     std::atomic<bool> active{false};
     std::atomic<bool> done{false};
     std::atomic<bool> tainted{false};
-    MarkStats stats;
+    std::unique_ptr<StatShard[]> shards;  // one per PE
     std::vector<std::pair<VertexId, std::uint8_t>> rescue_q;
     VertexId rescue_root = VertexId::invalid();
     std::atomic<std::uint64_t> rescue_waves{0};
@@ -252,6 +240,8 @@ class Marker {
 
   PlaneState& st(Plane p) { return state_[static_cast<int>(p)]; }
   const PlaneState& st(Plane p) const { return state_[static_cast<int>(p)]; }
+  StatShard& shard(Plane p, VertexId v) { return st(p).shards[v.pe]; }
+  void reset_stats(PlaneState& ps);
 
   // Lazily reset a vertex's plane record to the current epoch.
   MarkPlane& fresh(Vertex& v, Plane plane) {

@@ -32,7 +32,7 @@ class Mailbox {
     for (const Bytes& m : msgs) bytes += m.size();
     bytes_in_.fetch_add(bytes, std::memory_order_relaxed);
     msgs_in_.fetch_add(msgs.size(), std::memory_order_relaxed);
-    note_depth(q_.push_all(std::move(msgs)));
+    note_depth(q_.push_all(msgs));
   }
 
   std::optional<Bytes> try_receive() { return q_.try_pop(); }

@@ -459,10 +459,10 @@ Bytes encode_mark_report(const Graph& g, Plane plane, std::uint64_t epoch,
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(plane));
   w.u64(epoch);
-  w.u64(stats.marks.load(std::memory_order_relaxed));
-  w.u64(stats.returns.load(std::memory_order_relaxed));
-  w.u64(stats.remarks.load(std::memory_order_relaxed));
-  w.u64(stats.coop_spawns.load(std::memory_order_relaxed));
+  w.u64(stats.marks);
+  w.u64(stats.returns);
+  w.u64(stats.remarks);
+  w.u64(stats.coop_spawns);
   w.u32(static_cast<std::uint32_t>(pes.size()));
   const int pl = static_cast<int>(plane);
   for (PeId pe : pes) {

@@ -3,7 +3,7 @@
 namespace dgr {
 
 std::vector<std::uint8_t> encode_task(const Task& t) {
-  ByteWriter w;
+  ByteWriter w(kTaskWireBytes);
   w.u8(static_cast<std::uint8_t>(t.kind));
   w.u8(static_cast<std::uint8_t>(t.plane));
   w.u8(t.prior);

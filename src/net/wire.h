@@ -2,7 +2,10 @@
 //
 // The threaded engine enforces the paper's "local store only, communicating
 // via messages" discipline by serializing every cross-PE task to bytes and
-// deserializing on the receiving PE — no shared in-memory task objects.
+// deserializing on the receiving PE — no shared in-memory task objects cross
+// a PE boundary. A PE's tasks for its own vertices stay typed values in its
+// local run queue and never touch this codec; on the fault/channel planes
+// every task, local or not, is serialized, so the wire sees all traffic.
 //
 // ByteReader is *recoverable*: reading past the end of the buffer (a
 // truncated or corrupted message, e.g. from the fault plane's truncate-bytes
@@ -23,6 +26,9 @@ namespace dgr {
 
 class ByteWriter {
  public:
+  ByteWriter() = default;
+  // Pre-size the buffer for a record of known length.
+  explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
@@ -93,7 +99,13 @@ class ByteReader {
   bool ok_ = true;
 };
 
-// Task <-> bytes. Round-trip identity is covered by tests.
+// Encoded size of every task: kind, plane, prior, demand, pool_prior (1 B
+// each), d and s (8 B each), value kind (1 B), value int (8 B), value node
+// (8 B).
+inline constexpr std::size_t kTaskWireBytes = 38;
+
+// Task <-> bytes (exactly kTaskWireBytes, one allocation). Round-trip
+// identity is covered by tests.
 std::vector<std::uint8_t> encode_task(const Task& t);
 
 // Recoverable decode: nullopt on truncated input, trailing bytes, or

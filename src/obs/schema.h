@@ -23,7 +23,7 @@ namespace dgr::obs {
   X(kReductionTasks, "reduction_tasks", "reduction-task executions")           \
   X(kRemoteMessages, "remote_messages", "spawns crossing a PE boundary")       \
   X(kLocalMessages, "local_messages", "same-PE spawns")                        \
-  X(kBytesSent, "bytes_sent", "wire-size of remote messages")                  \
+  X(kBytesSent, "bytes_sent", "bytes encoded for the wire")                    \
   X(kMsgDroppedInjected, "msg_dropped_injected", "fault plane: deleted")       \
   X(kMsgDupInjected, "msg_dup_injected", "fault plane: duplicated")            \
   X(kMsgReorderedInjected, "msg_reordered_injected", "fault plane: held back") \
@@ -59,7 +59,7 @@ namespace dgr::obs {
   X(kMutatorStallQuiesceUs, "mutator_stall_quiesce_us", "stall us, quiesce due")
 
 #define DGR_OBS_HISTS(X)                                                       \
-  X(kMarkQueueDepth, "mark_queue_depth", "mailbox depth at service time")      \
+  X(kMarkQueueDepth, "mark_queue_depth", "run queue + mailbox backlog")        \
   X(kPoolDepth, "pool_depth", "reduction pool depth at service time")          \
   X(kMsgLatency, "msg_latency", "cross-PE delivery latency (sim steps)")       \
   X(kChannelRtt, "channel_rtt_us", "reliable-channel clean RTT (us)")          \
@@ -83,7 +83,7 @@ enum class ChromeTrack : std::uint8_t { kCtl, kPe, kCtlPlane, kPePlane };
   X(kPhaseEnd, "phase_end", "M_", Ctl, "marks", "returns",                    \
     "controller: wave terminated")                                             \
   X(kWaveFront, "wave_front", "marks", Pe, "marks", nullptr,                  \
-    "marker: every Nth mark exec; a = marks so far")                           \
+    "marker: every Nth mark exec per PE; a = that PE's marks so far")          \
   X(kRescueWave, "rescue_wave", "rescue_wave", CtlPlane, "seeds", nullptr,    \
     "marker: supplementary wave launched")                                     \
   X(kRescueQueued, "rescue_queued", "rescue_queued", PePlane, "vertex",       \

@@ -383,7 +383,7 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
       collect_epoch_ = epoch;
       reports_in_ = 0;
       reported_.assign(num_workers_, 0);
-      collect_stats_.reset();
+      collect_stats_ = MarkStats{};
       NetFrame q;
       q.type = FrameType::kQuiesce;
       q.gen = gen_;
@@ -415,11 +415,10 @@ void ProcEngine::handle_control(std::uint32_t worker, NetFrame f) {
         return;
       }
       reported_[worker] = 1;
-      collect_stats_.marks += s.marks.load(std::memory_order_relaxed);
-      collect_stats_.returns += s.returns.load(std::memory_order_relaxed);
-      collect_stats_.remarks += s.remarks.load(std::memory_order_relaxed);
-      collect_stats_.coop_spawns +=
-          s.coop_spawns.load(std::memory_order_relaxed);
+      collect_stats_.marks += s.marks;
+      collect_stats_.returns += s.returns;
+      collect_stats_.remarks += s.remarks;
+      collect_stats_.coop_spawns += s.coop_spawns;
       ++stats_.reports_merged;
       if (++reports_in_ < live_count_locked()) return;
       // Every partition's marks are in the authoritative graph: adopt the

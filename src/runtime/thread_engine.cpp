@@ -10,7 +10,28 @@
 namespace dgr {
 
 namespace {
-thread_local int tl_pe = -1;  // PE id of the current thread, -1 = external
+// The engine and PE id of the current thread, if it is a PE thread. Keyed by
+// engine so a PE thread calling into another engine counts as external there.
+thread_local const ThreadEngine* tl_engine = nullptr;
+thread_local int tl_pe = -1;
+
+// Test-and-set spinlock acquisition: a bounded pause, then yield. An
+// unbounded pause loop is correct on a dedicated core but pathological when
+// PE threads share cores: if the holder is descheduled mid-critical-section,
+// a pause-only spinner burns its whole scheduler quantum before the holder
+// can run again.
+void spin_lock(std::atomic_flag& f) {
+  std::uint32_t spins = 0;
+  while (f.test_and_set(std::memory_order_acquire)) {
+#if defined(__x86_64__)
+    if (++spins < 64) {
+      __builtin_ia32_pause();
+      continue;
+    }
+#endif
+    std::this_thread::yield();
+  }
+}
 
 // Mutation gate shared between external mutators and the quiescing
 // restructurer. Static keeps the header light; engines are few.
@@ -50,6 +71,10 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
     DGR_CHECK_MSG(st->ok(), "socket transport failed to come up");
     transport_ = std::move(st);
   }
+  runq_.reserve(g_.num_pes());
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
+    runq_.push_back(std::make_unique<LocalRun>());
+  counts_ = std::make_unique<TaskCounts[]>(g_.num_pes() + 1u);
   out_.resize(g_.num_pes());
   for (auto& row : out_) row.resize(g_.num_pes());
   bp_armed_.resize(g_.num_pes());
@@ -139,31 +164,35 @@ void ThreadEngine::stop() {
   if (wd_thread_.joinable()) wd_thread_.join();
 }
 
-void ThreadEngine::lock_vertex(VertexId v) {
-  auto& f = locks_[lock_index(v)];
-  std::uint32_t spins = 0;
-  while (f.test_and_set(std::memory_order_acquire)) {
-#if defined(__x86_64__)
-    // Bounded pause, then yield. An unbounded pause loop is correct on a
-    // dedicated core but pathological when PE threads share cores: if the
-    // holder is descheduled mid-critical-section, a pause-only spinner
-    // burns its whole scheduler quantum before the holder can run again.
-    if (++spins < 64) {
-      __builtin_ia32_pause();
-      continue;
-    }
-#endif
-    std::this_thread::yield();
-  }
-}
+void ThreadEngine::lock_vertex(VertexId v) { spin_lock(locks_[lock_index(v)]); }
 
 void ThreadEngine::unlock_vertex(VertexId v) {
   locks_[lock_index(v)].clear(std::memory_order_release);
 }
 
+int ThreadEngine::self_pe() const { return tl_engine == this ? tl_pe : -1; }
+
+void ThreadEngine::count_spawn(int self) {
+  if (self < 0) {
+    // External threads share one row, so they need a real RMW.
+    counts_[g_.num_pes()].spawned.fetch_add(1, std::memory_order_relaxed);
+    return;
+  }
+  // Single writer: a plain load/store pair instead of a locked RMW. The
+  // publication that follows (queue lock, channel lock) orders it.
+  std::atomic<std::uint64_t>& c = counts_[self].spawned;
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+}
+
+void ThreadEngine::retire(PeId pe) {
+  std::atomic<std::uint64_t>& c = counts_[pe].retired;
+  c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_release);
+}
+
 void ThreadEngine::spawn(Task t) {
   DGR_CHECK(t.d.valid() && !t.d.is_rootpar());
-  const PeId src = tl_pe >= 0 ? static_cast<PeId>(tl_pe) : t.d.pe;
+  const int self = self_pe();
+  const PeId src = self >= 0 ? static_cast<PeId>(self) : t.d.pe;
   const PeId dst = t.d.pe;
   reg_.add(src, src == dst ? obs::Counter::kLocalMessages
                            : obs::Counter::kRemoteMessages);
@@ -173,18 +202,24 @@ void ThreadEngine::spawn(Task t) {
     inject(std::move(t));
     return;
   }
+  count_spawn(self);
+  if (!chan_ && self >= 0 && dst == src) {
+    // A PE's own task stays a value in its run queue: nothing crosses a PE
+    // boundary, so there is nothing to serialize.
+    runq_[dst]->staged.push_back(t);
+    return;
+  }
   std::vector<std::uint8_t> bytes = encode_task(t);
   reg_.add(src, obs::Counter::kBytesSent, bytes.size());
   if (src != dst) maybe_backpressure(src, dst);
-  outstanding_.fetch_add(1, std::memory_order_acq_rel);
   if (chan_) {
     chan_->send(src, dst, std::move(bytes), now_us());
     return;
   }
   // Fast path. Cross-PE spawns from a PE thread stage into the per-pair
-  // batch; everything else (local spawns, external threads) delivers
-  // directly — staging rows are single-writer by construction.
-  if (net_.batch_bytes > 0 && tl_pe >= 0 && dst != static_cast<PeId>(tl_pe)) {
+  // batch; external threads deliver directly — staging rows are
+  // single-writer by construction.
+  if (net_.batch_bytes > 0 && self >= 0) {
     OutBatch& b = out_[src][dst];
     if (b.msgs.empty()) b.deadline_us = now_us() + net_.batch_flush_us;
     b.bytes += bytes.size();
@@ -230,17 +265,12 @@ bool ThreadEngine::admit_mark(Plane plane, VertexId child, std::uint8_t prior,
   // Only remote children spawned by a PE thread go through the summary:
   // local spawns are cheap, and external callers (root seed, tests) must
   // never be vetoed.
-  if (tl_pe < 0 || child.pe == static_cast<PeId>(tl_pe)) return true;
+  const int self = self_pe();
+  if (self < 0 || child.pe == static_cast<PeId>(self)) return true;
   BoundaryShard& s =
       *summary_[child.pe * 2u + (plane == Plane::kR ? 0u : 1u)];
   bool admit = true;
-  while (s.mu.test_and_set(std::memory_order_acquire)) {
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#else
-    std::this_thread::yield();
-#endif
-  }
+  spin_lock(s.mu);
   if (child.idx >= s.epoch.size()) {
     s.epoch.resize(child.idx + 1, 0);
     s.prior.resize(child.idx + 1, 0);
@@ -254,7 +284,7 @@ bool ThreadEngine::admit_mark(Plane plane, VertexId child, std::uint8_t prior,
     admit = false;
   }
   s.mu.clear(std::memory_order_release);
-  if (!admit) reg_.add(static_cast<std::uint32_t>(tl_pe),
+  if (!admit) reg_.add(static_cast<std::uint32_t>(self),
                        obs::Counter::kBoundaryDedup);
   return admit;
 }
@@ -315,11 +345,16 @@ void ThreadEngine::flush_outgoing(PeId pe, bool force) {
 void ThreadEngine::inject(Task t) { pool_push(std::move(t)); }
 
 void ThreadEngine::pe_loop(PeId pe) {
+  tl_engine = this;
   tl_pe = static_cast<int>(pe);
   std::uint64_t frames = 0;  // for periodic timer service while busy
   std::vector<Mailbox::Bytes> buf;  // reused drain buffer
+  std::vector<Task> tasks;          // reused run-queue burst
   const std::size_t drain_max = net_.drain_max ? net_.drain_max : 1;
   while (running_.load(std::memory_order_relaxed)) {
+    // Whatever the last pass (tasks, a restructure, a steal) spawned for
+    // this PE becomes runnable, and stealable, here.
+    publish_local(pe);
     if (pause_.load(std::memory_order_acquire)) {
       // Staged marks must reach their mailboxes before this PE parks: a
       // message wedged here would stall wave termination (and with it the
@@ -338,12 +373,15 @@ void ThreadEngine::pe_loop(PeId pe) {
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
-    // Batch drain: take up to drain_max messages under one mailbox lock and
-    // execute the burst without further queue traffic (the bounded budget
-    // keeps pause/restructure latency and flush staleness in check).
+    // This PE's own tasks first, as values, then a batch drain of the
+    // mailbox: up to drain_max of each per pass (the bounded budget keeps
+    // pause/restructure latency and flush staleness in check).
+    tasks.clear();
+    const std::size_t local = runq_[pe]->q.pop_up_to(drain_max, tasks);
+    run_tasks(pe, tasks);
     buf.clear();
     std::size_t n = transport_->drain(pe, drain_max, buf);
-    if (n == 0) {
+    if (n == 0 && local == 0) {
       // Idle: staged batches flush now (latency floor for stragglers), and
       // idle is when retransmit timers matter — a dropped frame leaves the
       // mailbox empty until this PE re-sends it.
@@ -355,72 +393,101 @@ void ThreadEngine::pe_loop(PeId pe) {
       // Balance the survivors: an idle PE takes half of the deepest peer
       // backlog instead of parking — on a congested pair this turns the
       // ping-pong idle time into useful marking work.
-      if (net_.steal && try_steal(pe, buf)) continue;
+      if (net_.steal && try_steal(pe, buf, tasks)) continue;
       // Nothing to run and nothing to steal: park on the mailbox condvar
       // (bounded, so pause/steal/timer polls still happen) rather than
       // yield-spinning. A polling idler on a shared core competes with the
       // busy PEs for the timeslice that would drain the very backlog it is
-      // polling for.
+      // polling for. The run queue is empty here and only this thread
+      // fills it, so every wake-up source is on the mailbox.
       if (net_.idle_wait_us > 0)
         n = transport_->drain_wait(pe, drain_max, buf, net_.idle_wait_us);
       else
         std::this_thread::yield();
       if (n == 0) continue;
     }
-    // Sampled mailbox backlog at service time, once per drained burst (the
-    // per-PE hist lock is uncontended: only this thread observes its slot).
+    // Sampled backlog at service time, once per pass: what this pass served
+    // plus what still waits in both queues (the per-PE hist lock is
+    // uncontended: only this thread observes its slot).
     if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
       reg_.observe(pe, obs::Hist::kMarkQueueDepth,
-                   static_cast<double>(transport_->pending(pe) + n));
-    if (chan_) {
-      for (const auto& msg : buf) {
-        // Raw frame → channel → zero or more exactly-once in-order payloads.
-        for (auto& payload : chan_->on_frame(pe, msg, now_us())) {
-          const std::optional<Task> t = try_decode_task(payload);
-          if (!t) {
-            // Unreachable unless a checksum collision slips corruption past
-            // the frame layer; counted, and the spawn is retired so
-            // wait_quiescent cannot hang on it.
-            reg_.add(pe, obs::Counter::kMsgDecodeError);
-            outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-            continue;
-          }
-          execute(pe, *t);
-          outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-        }
-        if ((++frames & 63) == 0) chan_->service(pe, now_us());
-      }
-    } else {
-      for (const auto& msg : buf) {
-        const Task t = decode_task(msg);
-        execute(pe, t);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      }
+                   static_cast<double>(local + n + runq_[pe]->q.size() +
+                                       transport_->pending(pe)));
+    run_messages(pe, pe, buf);
+    if (chan_ && (frames += n) >= 64) {
+      frames = 0;
+      chan_->service(pe, now_us());
     }
     // Between bursts: push out size/age-ripe batches staged by the executes
     // above (worst-case staleness is one drain_max burst + batch_flush_us).
     flush_outgoing(pe, /*force=*/false);
   }
   tl_pe = -1;
+  tl_engine = nullptr;
 }
 
-bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
+void ThreadEngine::run_tasks(PeId pe, const std::vector<Task>& tasks) {
+  for (const Task& t : tasks) {
+    execute(pe, t);
+    retire(pe);
+  }
+}
+
+void ThreadEngine::run_messages(PeId pe, PeId inbox,
+                                const std::vector<Mailbox::Bytes>& msgs) {
+  if (!chan_) {
+    for (const auto& msg : msgs) {
+      execute(pe, decode_task(msg));
+      retire(pe);
+    }
+    return;
+  }
+  for (const auto& msg : msgs) {
+    // Raw frame → channel → zero or more exactly-once in-order payloads.
+    for (auto& payload : chan_->on_frame(inbox, msg, now_us())) {
+      const std::optional<Task> t = try_decode_task(payload);
+      if (t) {
+        execute(pe, *t);
+      } else {
+        // Unreachable unless a checksum collision slips corruption past the
+        // frame layer; counted, and the spawn is retired so wait_quiescent
+        // cannot hang on it.
+        reg_.add(pe, obs::Counter::kMsgDecodeError);
+      }
+      retire(pe);
+    }
+  }
+}
+
+bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
+                             std::vector<Task>& tasks) {
   PeId victim = pe;
   std::size_t deepest = 0;
+  bool from_runq = false;
   for (PeId v = 0; v < g_.num_pes(); ++v) {
     if (v == pe) continue;
+    const std::size_t queued = runq_[v]->q.size();
+    if (queued > deepest) {
+      deepest = queued;
+      victim = v;
+      from_runq = true;
+    }
     const std::size_t backlog = transport_->pending(v);
     if (backlog > deepest) {
       deepest = backlog;
       victim = v;
+      from_runq = false;
     }
   }
   if (deepest < net_.steal_min) return false;
+  const std::size_t want = std::max<std::size_t>(
+      std::min<std::size_t>(deepest / 2, net_.drain_max ? net_.drain_max : 1),
+      1);
+  tasks.clear();
   buf.clear();
-  const std::size_t want =
-      std::min<std::size_t>(deepest / 2, net_.drain_max ? net_.drain_max : 1);
-  const std::size_t n =
-      transport_->drain(victim, std::max<std::size_t>(want, 1), buf);
+  const std::size_t n = from_runq
+                            ? runq_[victim]->q.pop_up_to(want, tasks)
+                            : transport_->drain(victim, want, buf);
   if (n == 0) return false;
   reg_.add(pe, obs::Counter::kStealBatches);
   reg_.add(pe, obs::Counter::kStealTasks, n);
@@ -430,24 +497,10 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf) {
   // planes serialize internally — a stolen frame still runs through
   // on_frame(victim, ...) so the (src → victim) receiver state stays
   // exactly-once regardless of which thread processes it.
-  if (chan_) {
-    for (const auto& msg : buf) {
-      for (auto& payload : chan_->on_frame(victim, msg, now_us())) {
-        const std::optional<Task> t = try_decode_task(payload);
-        if (!t) {
-          reg_.add(pe, obs::Counter::kMsgDecodeError);
-          outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-          continue;
-        }
-        execute(pe, *t);
-        outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-    }
+  if (from_runq) {
+    run_tasks(pe, tasks);
   } else {
-    for (const auto& msg : buf) {
-      execute(pe, decode_task(msg));
-      outstanding_.fetch_sub(1, std::memory_order_acq_rel);
-    }
+    run_messages(pe, victim, buf);
   }
   // Children spawned by the stolen tasks staged into this thief's rows;
   // push the ripe ones out before the next poll.
@@ -493,13 +546,13 @@ void ThreadEngine::quiesce_begin() {
   // A PE-thread quiescer flushes its own staging row first: nothing this
   // thread staged may sit out the safe point (belt and braces — marking has
   // terminated, so the rows should already be empty).
-  if (tl_pe >= 0) flush_outgoing(static_cast<PeId>(tl_pe), /*force=*/true);
+  const int self = self_pe();
+  if (self >= 0) flush_outgoing(static_cast<PeId>(self), /*force=*/true);
   // Exclusive against external mutators...
   mutation_gate().lock();
   // ...and against the PE threads (minus the caller, if it is one).
   pause_.store(true, std::memory_order_release);
-  const std::uint32_t expected =
-      g_.num_pes() - (tl_pe >= 0 ? 1u : 0u);
+  const std::uint32_t expected = g_.num_pes() - (self >= 0 ? 1u : 0u);
   while (parked_.load(std::memory_order_acquire) < expected)
     std::this_thread::yield();
   // Safe point: every PE is parked, both planes have terminated with their
@@ -514,8 +567,17 @@ void ThreadEngine::quiesce_end() {
 }
 
 void ThreadEngine::wait_quiescent() {
-  while (outstanding_.load(std::memory_order_acquire) > 0)
+  // Retired first, then spawned: the order the argument at counts_ needs.
+  const std::uint32_t rows = g_.num_pes() + 1u;
+  for (;;) {
+    std::uint64_t retired = 0, spawned = 0;
+    for (std::uint32_t i = 0; i < rows; ++i)
+      retired += counts_[i].retired.load(std::memory_order_acquire);
+    for (std::uint32_t i = 0; i < rows; ++i)
+      spawned += counts_[i].spawned.load(std::memory_order_acquire);
+    if (retired == spawned) return;
     std::this_thread::yield();
+  }
 }
 
 void ThreadEngine::wait_cycle_done() {

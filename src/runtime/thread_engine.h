@@ -7,6 +7,11 @@
 // destination vertex, so marking scales across PEs with no shared stack or
 // queue, exactly the paper's decentralization claim (E8).
 //
+// Only cross-PE and fault-plane tasks are serialized. A marking task a PE
+// thread spawns for its own PE moves as a typed Task value through that PE's
+// local run queue, and the per-task counters (quiescence counts, marker
+// stats, registry counters) live on per-PE cache lines.
+//
 // Mutations (the cooperating primitives) touch several vertices; callers
 // take the locks of the touch set in id order via LockSet. The restructuring
 // phase runs under a brief global pause (quiesce) — the paper requires only
@@ -37,6 +42,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
+#include "util/mpmc_queue.h"
 
 namespace dgr {
 
@@ -47,7 +53,8 @@ class VertexLocks;
 // force_reliable), every marking message crosses a FaultPlane wrapped in a
 // ChannelManager: the engine sees exactly-once in-order delivery while the
 // wire drops, duplicates, reorders and truncates under it. With the default
-// (no faults), messages go straight to the destination mailbox.
+// (no faults), cross-PE messages go straight to the destination mailbox and
+// a PE's tasks for its own vertices to its local run queue, unencoded.
 //
 // Batching (on by default): cross-PE spawns coalesce per directed PE pair —
 // on the fast path into per-pair staging rows flushed to the destination
@@ -93,11 +100,12 @@ struct NetOptions {
   // boundary_dedup), so each remote vertex is requested at most once per
   // wave and priority level instead of once per cross-partition edge.
   bool boundary_summary = true;
-  // Work stealing: a PE whose mailbox is empty drains up to half (capped at
-  // drain_max) of the deepest peer backlog and executes the batch itself
-  // instead of parking. Sound because task execution is location-
-  // transparent here: vertex locks are global stripes, counters are per-
-  // executing-PE, and the channel/fault planes take their own locks.
+  // Work stealing: a PE with no work of its own takes up to half (capped at
+  // drain_max) of the deepest peer backlog, from a run queue or a mailbox,
+  // and executes the batch itself instead of parking. Sound because task
+  // execution is location-transparent here: vertex locks are global
+  // stripes, counters are per-executing-PE, and the channel/fault planes
+  // take their own locks.
   bool steal = true;
   std::uint64_t steal_min = 16;  // don't steal below this victim backlog
   // Idle parking: a PE with an empty mailbox and nothing stealable blocks
@@ -226,6 +234,20 @@ class ThreadEngine final : public TaskSink, public PoolSet {
 
   void pe_loop(PeId pe);
   void execute(PeId pe, const Task& t);
+  // This engine's PE id for the calling thread; -1 for any thread that is
+  // not one of this engine's PE threads.
+  int self_pe() const;
+  // Execute typed tasks / drained mailbox messages on PE thread `pe`,
+  // retiring each. `inbox` is the PE whose mailbox `msgs` came from (the
+  // channel's receiver state is per inbox, whichever thread drains it).
+  void run_tasks(PeId pe, const std::vector<Task>& tasks);
+  void run_messages(PeId pe, PeId inbox,
+                    const std::vector<Mailbox::Bytes>& msgs);
+  // Quiescence accounting (see counts_); `self` is the caller's self_pe().
+  void count_spawn(int self);
+  void retire(PeId pe);
+  // Move PE `pe`'s staged local spawns into its run queue (owner only).
+  void publish_local(PeId pe) { runq_[pe]->q.push_all(runq_[pe]->staged); }
   // Fast-path batching: flush every staged pair whose sender is `pe`
   // (force) or only the size/age-ripe ones. PE-thread-local: row `pe` of
   // out_ is touched exclusively by its owning thread.
@@ -235,9 +257,11 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // thread `src` calls this for its own row, so the arming bytes need no
   // synchronization.
   void maybe_backpressure(PeId src, PeId dst);
-  // Idle-path mailbox stealing: drain up to half of the deepest peer
-  // backlog into `buf` and execute it here. Returns true if work was taken.
-  bool try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf);
+  // Idle-path stealing: take up to half of the deepest peer backlog (run
+  // queue into `tasks`, or mailbox into `buf`) and execute it here. Returns
+  // true if work was taken.
+  bool try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
+                 std::vector<Task>& tasks);
   // Walk the graph once and charge edge_cut / edges_total per owning PE
   // (called from start(), before any thread runs).
   void count_edge_cut();
@@ -264,10 +288,20 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // Cross-PE delivery plane: InProcTransport (mailboxes) by default, a
   // SocketTransport when NetOptions::transport selects uds/tcp.
   std::unique_ptr<Transport> transport_;
+  // Local run queues, one per PE (fault-free plane only): marking tasks a
+  // PE thread spawns for its own PE, as values. The owner stages its spawns
+  // in `staged` (no lock) and publishes them to `q` once per loop pass, so
+  // the queue lock is taken per burst, not per task; `q` is popped by the
+  // owner and by idle thieves.
+  struct LocalRun {
+    MpmcQueue<Task> q;
+    std::vector<Task> staged;  // owning PE thread only
+  };
+  std::vector<std::unique_ptr<LocalRun>> runq_;
   // Fast-path sender staging (fault-free plane only; the channel batches on
   // its own when active). out_[src][dst] holds cross-PE marking messages
   // awaiting a coalesced send_batch. No locks: row src belongs to PE
-  // thread src alone; external (tl_pe == -1) spawns bypass staging.
+  // thread src alone; external (self_pe() == -1) spawns bypass staging.
   struct OutBatch {
     std::vector<Mailbox::Bytes> msgs;
     std::size_t bytes = 0;
@@ -298,10 +332,29 @@ class ThreadEngine final : public TaskSink, public PoolSet {
 
   std::vector<std::thread> threads_;
   std::atomic<bool> running_{false};
-  // Spawned, not yet executed. Every spawn and every execution on every PE
-  // writes it, so it has a cache line to itself: sharing one would make each
-  // of those writes evict members every task reads (locks_, reg_, pause_).
-  alignas(64) std::atomic<std::uint64_t> outstanding_{0};
+
+  // Counting quiescence (after Plyukhin & Agha's per-actor send/receive
+  // counts): one cache line per PE thread, plus row num_pes for external
+  // threads. A spawning thread bumps its row's `spawned` before the task is
+  // published (run-queue push, mailbox delivery or channel send); the
+  // executing PE bumps its row's `retired`, with release order, after
+  // execute() returns (or after dropping an undecodable payload). Only the
+  // owning thread writes a PE row, so no per-task write is shared.
+  //
+  // wait_quiescent() reads every `retired` (acquire), then every `spawned`,
+  // and returns when the sums are equal. Why equality proves that nothing
+  // was in flight at one instant t between the two passes: the counts only
+  // grow, so the retired sum R is at most the number retired by t and the
+  // spawned sum S at least the number spawned by t; every task is spawned
+  // before it can retire, so R <= retired(t) <= spawned(t) <= S, and R == S
+  // forces retired(t) == spawned(t). The acquire reads also make the spawn
+  // of every task whose retirement R counts (and every child it spawned)
+  // visible to the second pass, so no spawn can hide behind a retirement.
+  struct alignas(64) TaskCounts {
+    std::atomic<std::uint64_t> spawned{0};
+    std::atomic<std::uint64_t> retired{0};
+  };
+  std::unique_ptr<TaskCounts[]> counts_;
 
   // Quiesce protocol: a pauser raises `pause_`; every other PE thread parks
   // and reports in via `parked_`.

@@ -35,9 +35,10 @@ class MpmcQueue {
     return depth;
   }
 
-  // Push a whole batch under one lock; `items` is consumed. Returns the
-  // queue depth after the last element.
-  std::size_t push_all(std::vector<T> items) {
+  // Push a whole batch under one lock; `items` is left empty, its capacity
+  // kept for the caller to refill. Returns the queue depth after the last
+  // element.
+  std::size_t push_all(std::vector<T>& items) {
     if (items.empty()) return 0;
     std::size_t depth;
     {
@@ -46,6 +47,7 @@ class MpmcQueue {
       depth = q_.size();
       size_.store(depth, std::memory_order_relaxed);
     }
+    items.clear();
     cv_.notify_all();
     return depth;
   }

@@ -342,14 +342,10 @@ TEST(ProcTelemetry, CountersAgreeWithMergedMarkReports) {
   ASSERT_FALSE(rig.eng().failed());
 
   const obs::MetricsRegistry& reg = rig.eng().metrics();
-  const MarkStats& mr = rig.eng().marker().stats(Plane::kR);
-  const MarkStats& mt = rig.eng().marker().stats(Plane::kT);
-  const std::uint64_t reported_marks =
-      mr.marks.load(std::memory_order_relaxed) +
-      mt.marks.load(std::memory_order_relaxed);
-  const std::uint64_t reported_returns =
-      mr.returns.load(std::memory_order_relaxed) +
-      mt.returns.load(std::memory_order_relaxed);
+  const MarkStats mr = rig.eng().marker().stats(Plane::kR);
+  const MarkStats mt = rig.eng().marker().stats(Plane::kT);
+  const std::uint64_t reported_marks = mr.marks + mt.marks;
+  const std::uint64_t reported_returns = mr.returns + mt.returns;
   EXPECT_GT(reported_marks, 0u);
   EXPECT_EQ(reg.total(obs::Counter::kMarkTasks), reported_marks);
   EXPECT_EQ(reg.total(obs::Counter::kReturnTasks), reported_returns);

@@ -1,9 +1,12 @@
 // Tests for the multi-threaded engine: parallel decentralized marking with
-// real OS threads, wire-serialized cross-PE messages, concurrent cooperating
-// mutations, and full cycles with quiesced restructuring.
+// real OS threads, wire-serialized cross-PE messages, typed local run
+// queues, concurrent cooperating mutations, and full cycles with quiesced
+// restructuring.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 
 #include "graph/builder.h"
 #include "graph/oracle.h"
@@ -425,6 +428,101 @@ TEST(ThreadEngineLocality, StealOffRunsCleanWithZeroStealCounters) {
   g.for_each_live([&](VertexId v) {
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
   });
+}
+
+// ---- The per-task fast path: typed local run queues + counting quiescence.
+
+TEST(ThreadEngineFastPath, LongLocalChainQuiescesOnlyWhenEverySpawnRetired) {
+  // One PE: every task after the seed is a local spawn, so the whole wave
+  // moves through the run queue as values and nothing is encoded.
+  Graph g = make_presized(1, 20010);
+  const std::vector<VertexId> chain = build_chain(g, 20000, ReqKind::kVital);
+  ThreadEngine eng(g);
+  eng.set_root(chain.front());
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller().start_cycle(copt);
+  eng.wait_quiescent();
+  const obs::MetricsRegistry& reg = eng.metrics_registry();
+  const std::uint64_t executed = reg.total(obs::Counter::kMarkTasks) +
+                                 reg.total(obs::Counter::kReturnTasks);
+  const std::uint64_t spawned = reg.total(obs::Counter::kLocalMessages) +
+                                reg.total(obs::Counter::kRemoteMessages);
+  EXPECT_TRUE(eng.marker().done(Plane::kR));
+  EXPECT_EQ(executed, spawned);
+  EXPECT_GE(reg.total(obs::Counter::kMarkTasks), chain.size());
+  EXPECT_EQ(reg.total(obs::Counter::kRemoteMessages), 0u);
+  // Only the external root seed crossed the codec.
+  EXPECT_EQ(reg.total(obs::Counter::kBytesSent), kTaskWireBytes);
+  eng.wait_cycle_done();
+  eng.stop();
+  for (VertexId v : chain) EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
+}
+
+TEST(ThreadEngineFastPath, PeersStealFromALoadedRunQueue) {
+  // Every vertex on PE 0 of a 4-PE engine, under a root with a wide
+  // fan-out: the root's mark fills PE 0's run queue at once, so PEs 1-3 can
+  // only take part by stealing from it. steal_min = 2 keeps the lone root
+  // seed in PE 0's mailbox from being stolen, which would move the fan-out
+  // onto a thief and into the mailbox.
+  Graph g = make_presized(4, 3000);
+  Rng rng(21);
+  const ReqKind kinds[] = {ReqKind::kVital, ReqKind::kEager, ReqKind::kNone};
+  const VertexId root = g.alloc(0, OpCode::kData);
+  std::vector<VertexId> vs;
+  for (int i = 0; i < 2500; ++i) vs.push_back(g.alloc(0, OpCode::kData));
+  for (std::size_t i = 0; i < 2000; ++i)  // vs[2000..] start as garbage
+    connect(g, root, vs[i], kinds[rng.below(3)]);
+  for (int i = 0; i < 2000; ++i)
+    connect(g, vs[rng.below(vs.size())], vs[rng.below(vs.size())],
+            kinds[rng.below(3)]);
+  Oracle o(g, root, {});
+  NetOptions net;
+  net.steal_min = 2;
+  ThreadEngine eng(g, net);
+  eng.set_root(root);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;  // M_T would seed every PE's task root
+  // A wave lasts a few ms; on a loaded host the peers may sleep through
+  // one, so cycle until a steal happens (with a bound).
+  for (int i = 0; i < 3 || (i < 100 && eng.stats().steal_tasks == 0); ++i) {
+    eng.controller().start_cycle(copt);
+    eng.wait_cycle_done();
+  }
+  eng.stop();
+  EXPECT_GT(eng.stats().steal_tasks, 0u);
+  g.for_each_live([&](VertexId v) {
+    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
+  });
+}
+
+TEST(ThreadEngineFastPath, ExternalSeedWakesAParkedPe) {
+  // A PE left to sleep out its idle wait would take a whole second to see
+  // the seed; the mailbox delivery must wake it instead.
+  Graph g = make_presized(1, 8);
+  const VertexId v = g.alloc(0, OpCode::kData);
+  NetOptions net;
+  net.idle_wait_us = 1'000'000;
+  ThreadEngine eng(g, net);
+  eng.set_root(v);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  for (int i = 0; i < 3; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // PE parks
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.controller().start_cycle(copt);
+    eng.wait_quiescent();
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    EXPECT_TRUE(eng.marker().done(Plane::kR));
+    EXPECT_LT(waited, std::chrono::microseconds(net.idle_wait_us / 10));
+    eng.wait_cycle_done();
+  }
+  eng.stop();
+  EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
 }
 
 // ---- Online health auditing (safe-point audits + watchdog). ----

@@ -55,6 +55,12 @@ TEST(Wire, RoundTripEveryKind) {
   }
 }
 
+TEST(Wire, EveryKindEncodesToTheFixedRecordSize) {
+  for (const Task& t : one_of_every_kind())
+    EXPECT_EQ(encode_task(t).size(), kTaskWireBytes)
+        << "kind " << static_cast<int>(t.kind);
+}
+
 TEST(Wire, TruncationAtEveryLengthIsRecoverable) {
   // Exactly what the fault plane's truncate mode produces: a prefix of the
   // encoding. Every possible cut must yield nullopt — never an abort, and
