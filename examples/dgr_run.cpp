@@ -504,7 +504,10 @@ int main(int argc, char** argv) {
 #if DGR_TRACE_ENABLED
     if (trace_path || jsonl_path) peng.enable_trace();
 #endif
-    peng.start();
+    if (!peng.start()) {
+      std::fprintf(stderr, "dgr_run: %s\n", peng.start_error().c_str());
+      return 1;
+    }
     HealthEmitter health(stats_period, stats_jsonl_path);
     for (std::uint32_t i = 0; i < audit_cycles && !peng.failed(); ++i) {
       // start_cycle (not controller().start_cycle): the engine wrapper

@@ -1,12 +1,15 @@
 #include "runtime/proc_engine.h"
 
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <thread>
 
 #include "graph/partitioner.h"
@@ -99,7 +102,7 @@ WorkerConfig ProcEngine::make_config(std::uint32_t worker) const {
   return c;
 }
 
-void ProcEngine::start() {
+bool ProcEngine::start() {
   DGR_CHECK_MSG(!started_, "ProcEngine::start called twice");
   started_ = true;
   // No prewarm_aux_roots here: the controller mints every aux root it needs
@@ -153,11 +156,13 @@ void ProcEngine::start() {
     d.ack.config = make_config(reg.worker_index);
     return d;
   });
-  DGR_CHECK_MSG(up, "hub listen failed");
+  if (!up) return fail_start("controller hub failed to listen");
 
-  for (std::uint32_t w = 0; w < num_workers_; ++w) spawn_worker(w);
-  DGR_CHECK_MSG(hub_.wait_workers(num_workers_, opt_.register_timeout_ms),
-                "workers did not register in time");
+  for (std::uint32_t w = 0; w < num_workers_; ++w)
+    if (!spawn_worker(w)) return fail_start(start_error_);
+  if (!hub_.wait_workers(num_workers_, opt_.register_timeout_ms))
+    return fail_start("workers did not register within " +
+                      std::to_string(opt_.register_timeout_ms) + " ms");
 
   // First clock probes right after registration, while the wire is quiet —
   // usually the tightest (min-RTT) sample of the whole run. Refreshed at
@@ -167,6 +172,14 @@ void ProcEngine::start() {
   touch_progress();
   if (opt_.barrier_timeout_ms > 0)
     watchdog_ = std::thread([this] { watchdog_loop(); });
+  return true;
+}
+
+bool ProcEngine::fail_start(std::string why) {
+  start_error_ = std::move(why);
+  stop();  // reaps whatever was launched and closes the hub
+  set_failed();
+  return false;
 }
 
 void ProcEngine::send_clock_probe(std::uint32_t worker) {
@@ -179,7 +192,7 @@ void ProcEngine::send_clock_probe(std::uint32_t worker) {
   hub_.send_to_worker(worker, f);
 }
 
-void ProcEngine::spawn_worker(std::uint32_t worker) {
+bool ProcEngine::spawn_worker(std::uint32_t worker) {
   std::string bin = opt_.worker_bin;
   if (bin.empty()) {
     if (const char* env = std::getenv("DGR_WORKER_BIN")) bin = env;
@@ -188,15 +201,38 @@ void ProcEngine::spawn_worker(std::uint32_t worker) {
 
   const std::string addr = hub_.address();
   const std::string index = std::to_string(worker);
+  // A close-on-exec pipe reports the exec's outcome at once: a successful
+  // exec closes the child's end (the parent reads EOF), a failed one writes
+  // its errno there.
+  int fds[2];
+  DGR_CHECK_MSG(::pipe2(fds, O_CLOEXEC) == 0, "pipe2 failed");
   const pid_t pid = ::fork();
   DGR_CHECK_MSG(pid >= 0, "fork failed");
   if (pid == 0) {
+    ::close(fds[0]);
     const char* argv[] = {bin.c_str(),   "--connect", addr.c_str(),
                           "--index",     index.c_str(), nullptr};
     ::execvp(bin.c_str(), const_cast<char* const*>(argv));
-    ::_exit(127);  // exec failure; the registration timeout reports it
+    const int err = errno;
+    (void)!::write(fds[1], &err, sizeof err);
+    ::_exit(127);
   }
-  slots_[worker].pid = pid;
+  ::close(fds[1]);
+  int err = 0;
+  ssize_t n;
+  do {
+    n = ::read(fds[0], &err, sizeof err);
+  } while (n < 0 && errno == EINTR);
+  ::close(fds[0]);
+  if (n != static_cast<ssize_t>(sizeof err)) {
+    slots_[worker].pid = pid;
+    return true;
+  }
+  ::waitpid(pid, nullptr, 0);
+  start_error_ = "cannot exec worker binary '" + bin +
+                 "': " + std::strerror(err) + " (errno " +
+                 std::to_string(err) + ")";
+  return false;
 }
 
 void ProcEngine::stop() {

@@ -106,9 +106,13 @@ class ProcEngine final : public TaskSink, public PoolSet {
 
   void set_root(VertexId root) { controller_->set_root(root); }
 
-  // Bind the hub, fork+exec the workers, wait for registration. Aborts
-  // (DGR_CHECK) when a worker cannot be launched or registered in time.
-  void start();
+  // Bind the hub, fork+exec the workers, wait for registration. Returns
+  // false, with the reason in start_error(), when the hub cannot listen, a
+  // worker binary cannot be exec'd (reported at once, with its path and
+  // errno) or the workers do not register within register_timeout_ms; the
+  // engine is then stopped and failed().
+  bool start();
+  const std::string& start_error() const { return start_error_; }
   // Broadcast kShutdown, reap the children (SIGKILL stragglers), close.
   void stop();
 
@@ -209,7 +213,9 @@ class ProcEngine final : public TaskSink, public PoolSet {
   };
 
   WorkerConfig make_config(std::uint32_t worker) const;
-  void spawn_worker(std::uint32_t worker);
+  // Fork+exec one worker; false (start_error_ set) if the exec failed.
+  bool spawn_worker(std::uint32_t worker);
+  bool fail_start(std::string why);
   void handle_control(std::uint32_t worker, NetFrame f);
   // Membership recovery (all under mu_). on_worker_lost runs on the dead
   // connection's hub reader thread; fence_and_restart is shared with the
@@ -255,6 +261,7 @@ class ProcEngine final : public TaskSink, public PoolSet {
   mutable std::recursive_mutex mu_;
 
   bool started_ = false;
+  std::string start_error_;
   std::atomic<bool> stopping_{false};
   std::atomic<bool> failed_{false};
   // Signalled (under mu_) when a cycle completes or the run fails.

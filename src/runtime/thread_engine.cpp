@@ -46,6 +46,7 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
       g_(g),
       marker_(std::make_unique<Marker>(g_, *this)),
       net_(net),
+      typed_(!net.enabled() && net.transport == TransportKind::kInProc),
       locks_(4096),
       reg_(g.num_pes()),
       t0_(std::chrono::steady_clock::now()),
@@ -158,7 +159,9 @@ void ThreadEngine::start() {
 
 void ThreadEngine::stop() {
   if (!running_.exchange(false)) return;
+  // Wake every parked PE: on the typed plane they wait on their run queues.
   transport_->close();
+  for (auto& r : runq_) r->q.close();
   for (auto& t : threads_) t.join();
   threads_.clear();
   if (wd_thread_.joinable()) wd_thread_.join();
@@ -209,30 +212,38 @@ void ThreadEngine::spawn(Task t) {
     runq_[dst]->staged.push_back(t);
     return;
   }
-  std::vector<std::uint8_t> bytes = encode_task(t);
-  reg_.add(src, obs::Counter::kBytesSent, bytes.size());
   if (src != dst) maybe_backpressure(src, dst);
   if (chan_) {
-    chan_->send(src, dst, std::move(bytes), now_us());
+    chan_->send(src, dst, encode_counted(src, t), now_us());
     return;
   }
-  // Fast path. Cross-PE spawns from a PE thread stage into the per-pair
-  // batch; external threads deliver directly — staging rows are
-  // single-writer by construction.
+  // Channel-free. Cross-PE spawns from a PE thread stage into the per-pair
+  // row; external threads deliver directly — staging rows are single-writer
+  // by construction.
   if (net_.batch_bytes > 0 && self >= 0) {
     OutBatch& b = out_[src][dst];
-    if (b.msgs.empty()) b.deadline_us = now_us() + net_.batch_flush_us;
-    b.bytes += bytes.size();
-    b.msgs.push_back(std::move(bytes));
-    if (b.bytes >= net_.batch_bytes) flush_pair_fast(src, dst);
+    if (b.tasks.empty()) b.deadline_us = now_us() + net_.batch_flush_us;
+    b.tasks.push_back(t);
+    if (b.tasks.size() * kTaskWireBytes >= net_.batch_bytes)
+      flush_pair_fast(src, dst);
     return;
   }
-  transport_->send(src, dst, std::move(bytes));
+  if (typed_) {
+    runq_[dst]->q.push(t);
+    return;
+  }
+  transport_->send(src, dst, encode_counted(src, t));
+}
+
+Mailbox::Bytes ThreadEngine::encode_counted(PeId src, const Task& t) {
+  Mailbox::Bytes bytes = encode_task(t);
+  reg_.add(src, obs::Counter::kBytesSent, bytes.size());
+  return bytes;
 }
 
 void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
   if (net_.backpressure_limit == 0) return;
-  const std::uint64_t backlog = transport_->pending(dst);
+  const std::uint64_t backlog = inbox_depth(dst);
   std::uint8_t& armed = bp_armed_[src][dst];
   if (!armed) {
     // A congestion episode is in progress: sail through until the peer has
@@ -254,7 +265,7 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
   // still congested, disarm and let the episode run its course.
   for (std::uint32_t i = 0; i < net_.backpressure_spins; ++i) {
     std::this_thread::yield();
-    if (transport_->pending(dst) <= net_.backpressure_limit) return;
+    if (inbox_depth(dst) <= net_.backpressure_limit) return;
   }
   armed = 0;
 }
@@ -304,9 +315,9 @@ void ThreadEngine::count_edge_cut() {
 
 void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
   OutBatch& b = out_[src][dst];
-  if (b.msgs.empty()) return;
-  const std::size_t count = b.msgs.size();
-  const std::size_t bytes = b.bytes;
+  if (b.tasks.empty()) return;
+  const std::size_t count = b.tasks.size();
+  const std::size_t bytes = count * kTaskWireBytes;
   reg_.add(src, obs::Counter::kBatchFlush);
   reg_.add(src, obs::Counter::kMsgBatched, count);
   reg_.observe(src, obs::Hist::kBatchFillPct,
@@ -316,10 +327,18 @@ void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
                   static_cast<std::uint16_t>(src), 0,
                   static_cast<std::uint64_t>(count),
                   static_cast<std::uint64_t>(bytes));
-  transport_->send_batch(src, dst, std::move(b.msgs));
-  b.msgs.clear();
-  b.bytes = 0;
   b.deadline_us = 0;
+  if (typed_) {
+    // One queue lock for the whole row; the row keeps its capacity.
+    runq_[dst]->q.push_all(b.tasks);
+    return;
+  }
+  // A socket transport needs bytes: encode here, at flush time.
+  std::vector<Mailbox::Bytes> msgs;
+  msgs.reserve(count);
+  for (const Task& t : b.tasks) msgs.push_back(encode_counted(src, t));
+  b.tasks.clear();
+  transport_->send_batch(src, dst, std::move(msgs));
 }
 
 void ThreadEngine::flush_outgoing(PeId pe, bool force) {
@@ -328,9 +347,9 @@ void ThreadEngine::flush_outgoing(PeId pe, bool force) {
   bool now_set = false;
   for (PeId dst = 0; dst < g_.num_pes(); ++dst) {
     OutBatch& b = out_[pe][dst];
-    if (b.msgs.empty()) continue;
+    if (b.tasks.empty()) continue;
     if (!force) {
-      if (b.bytes < net_.batch_bytes) {
+      if (b.tasks.size() * kTaskWireBytes < net_.batch_bytes) {
         if (!now_set) {
           now = now_us();
           now_set = true;
@@ -348,7 +367,7 @@ void ThreadEngine::pe_loop(PeId pe) {
   tl_engine = this;
   tl_pe = static_cast<int>(pe);
   std::uint64_t frames = 0;  // for periodic timer service while busy
-  std::vector<Mailbox::Bytes> buf;  // reused drain buffer
+  std::vector<Mailbox::Bytes> buf;  // reused drain buffer (byte plane)
   std::vector<Task> tasks;          // reused run-queue burst
   const std::size_t drain_max = net_.drain_max ? net_.drain_max : 1;
   while (running_.load(std::memory_order_relaxed)) {
@@ -356,7 +375,7 @@ void ThreadEngine::pe_loop(PeId pe) {
     // this PE becomes runnable, and stealable, here.
     publish_local(pe);
     if (pause_.load(std::memory_order_acquire)) {
-      // Staged marks must reach their mailboxes before this PE parks: a
+      // Staged marks must reach their inboxes before this PE parks: a
       // message wedged here would stall wave termination (and with it the
       // quiescer) indefinitely.
       flush_outgoing(pe, /*force=*/true);
@@ -373,14 +392,13 @@ void ThreadEngine::pe_loop(PeId pe) {
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
-    // This PE's own tasks first, as values, then a batch drain of the
-    // mailbox: up to drain_max of each per pass (the bounded budget keeps
-    // pause/restructure latency and flush staleness in check).
+    // A burst of the run queue, then (off the typed plane) a batch drain of
+    // the mailbox: up to drain_max of each per pass (the bounded budget
+    // keeps pause/restructure latency and flush staleness in check).
     tasks.clear();
-    const std::size_t local = runq_[pe]->q.pop_up_to(drain_max, tasks);
-    run_tasks(pe, tasks);
+    std::size_t local = runq_[pe]->q.pop_up_to(drain_max, tasks);
     buf.clear();
-    std::size_t n = transport_->drain(pe, drain_max, buf);
+    std::size_t n = typed_ ? 0 : transport_->drain(pe, drain_max, buf);
     if (n == 0 && local == 0) {
       // Idle: staged batches flush now (latency floor for stragglers), and
       // idle is when retransmit timers matter — a dropped frame leaves the
@@ -394,25 +412,33 @@ void ThreadEngine::pe_loop(PeId pe) {
       // backlog instead of parking — on a congested pair this turns the
       // ping-pong idle time into useful marking work.
       if (net_.steal && try_steal(pe, buf, tasks)) continue;
-      // Nothing to run and nothing to steal: park on the mailbox condvar
+      // Nothing to run and nothing to steal: park on the inbox condvar
       // (bounded, so pause/steal/timer polls still happen) rather than
       // yield-spinning. A polling idler on a shared core competes with the
       // busy PEs for the timeslice that would drain the very backlog it is
-      // polling for. The run queue is empty here and only this thread
-      // fills it, so every wake-up source is on the mailbox.
-      if (net_.idle_wait_us > 0)
-        n = transport_->drain_wait(pe, drain_max, buf, net_.idle_wait_us);
-      else
+      // polling for. Every wake-up source pushes into the inbox: the run
+      // queue on the typed plane (peers' flushes, external spawns); off it
+      // the mailbox, since only this thread fills its run queue there.
+      if (net_.idle_wait_us == 0)
         std::this_thread::yield();
-      if (n == 0) continue;
+      else if (typed_)
+        local = runq_[pe]->q.pop_up_to_wait(
+            drain_max, tasks, std::chrono::microseconds(net_.idle_wait_us));
+      else
+        n = transport_->drain_wait(pe, drain_max, buf, net_.idle_wait_us);
+      if (n == 0 && local == 0) continue;
     }
-    // Sampled backlog at service time, once per pass: what this pass served
-    // plus what still waits in both queues (the per-PE hist lock is
-    // uncontended: only this thread observes its slot).
-    if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
+    // Sampled backlog at service time, once per pass: what this pass serves
+    // plus what still waits in the run queue and (off the typed plane) the
+    // mailbox. The per-PE hist lock is uncontended: only this thread
+    // observes its slot.
+    if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0) {
+      const std::size_t waiting =
+          runq_[pe]->q.size() + (typed_ ? 0 : transport_->pending(pe));
       reg_.observe(pe, obs::Hist::kMarkQueueDepth,
-                   static_cast<double>(local + n + runq_[pe]->q.size() +
-                                       transport_->pending(pe)));
+                   static_cast<double>(local + n + waiting));
+    }
+    run_tasks(pe, tasks);
     run_messages(pe, pe, buf);
     if (chan_ && (frames += n) >= 64) {
       frames = 0;
@@ -472,7 +498,7 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
       victim = v;
       from_runq = true;
     }
-    const std::size_t backlog = transport_->pending(v);
+    const std::size_t backlog = typed_ ? 0 : transport_->pending(v);
     if (backlog > deepest) {
       deepest = backlog;
       victim = v;
@@ -619,10 +645,10 @@ void ThreadEngine::watchdog_loop() {
   while (running_.load(std::memory_order_acquire)) {
     std::this_thread::sleep_for(
         std::chrono::milliseconds(wd_opt_.interval_ms));
-    // Mailbox saturation, edge-triggered per PE (re-arms once the backlog
-    // halves, so a persistently saturated mailbox warns once, not per tick).
+    // Inbox saturation, edge-triggered per PE (re-arms once the backlog
+    // halves, so a persistently saturated inbox warns once, not per tick).
     for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-      const std::uint64_t backlog = transport_->pending(pe);
+      const std::uint64_t backlog = inbox_depth(pe);
       if (backlog >= wd_opt_.mailbox_saturation) {
         if (!mailbox_reported[pe]) {
           mailbox_reported[pe] = true;
@@ -704,7 +730,13 @@ ThreadEngineStats ThreadEngine::stats() const {
   s.steal_tasks = reg_.total(obs::Counter::kStealTasks);
   s.edge_cut = reg_.total(obs::Counter::kEdgeCut);
   s.edges_total = reg_.total(obs::Counter::kEdgesTotal);
-  s.mailbox_high_water = transport_->high_water();
+  if (typed_) {
+    for (const auto& r : runq_)
+      s.mailbox_high_water =
+          std::max<std::uint64_t>(s.mailbox_high_water, r->q.high_water());
+  } else {
+    s.mailbox_high_water = transport_->high_water();
+  }
   return s;
 }
 

@@ -1,16 +1,24 @@
 // Multi-threaded engine: one OS thread per PE.
 //
 // Realizes the paper's machine with genuine parallelism: every PE runs its
-// own thread, cross-PE task spawns travel as serialized byte messages
-// through mailboxes (no shared task objects), and task execution is made
+// own thread, PEs exchange tasks only as messages into each other's inboxes
+// (no shared task objects, stack or queue), and task execution is made
 // atomic by per-vertex spinlocks — a mark or return task touches only its
-// destination vertex, so marking scales across PEs with no shared stack or
-// queue, exactly the paper's decentralization claim (E8).
+// destination vertex, so marking scales across PEs, exactly the paper's
+// decentralization claim (E8).
 //
-// Only cross-PE and fault-plane tasks are serialized. A marking task a PE
-// thread spawns for its own PE moves as a typed Task value through that PE's
-// local run queue, and the per-task counters (quiescence counts, marker
-// stats, registry counters) live on per-PE cache lines.
+// What a message is depends on the plane, fixed at construction:
+//   - the typed plane (no faults, no forced channel, in-process transport):
+//     every marking task moves as a copied Task value, and each PE's local
+//     run queue is its only inbox. Cross-PE spawns are staged per directed
+//     pair and flushed into the destination's run queue; nothing is encoded.
+//   - the byte plane (a socket transport, or the fault/channel layers):
+//     cross-PE tasks are encoded (net/wire.h) and cross the Transport, as
+//     they must when the wire is real or faulted. A PE's tasks for its own
+//     vertices still stay typed values in its run queue unless the channel
+//     is active, which carries every task.
+// The per-task counters (quiescence counts, marker stats, registry counters)
+// live on per-PE cache lines on both planes.
 //
 // Mutations (the cooperating primitives) touch several vertices; callers
 // take the locks of the touch set in id order via LockSet. The restructuring
@@ -50,20 +58,23 @@ namespace dgr {
 class VertexLocks;
 
 // Message-plane configuration. With a nonzero fault schedule (or
-// force_reliable), every marking message crosses a FaultPlane wrapped in a
-// ChannelManager: the engine sees exactly-once in-order delivery while the
-// wire drops, duplicates, reorders and truncates under it. With the default
-// (no faults), cross-PE messages go straight to the destination mailbox and
-// a PE's tasks for its own vertices to its local run queue, unencoded.
+// force_reliable), every marking message is encoded and crosses a
+// FaultPlane wrapped in a ChannelManager: the engine sees exactly-once
+// in-order delivery while the wire drops, duplicates, reorders and truncates
+// under it. With the default (no faults, in-process transport) the engine
+// runs the typed plane: every marking task moves as a Task value into the
+// destination PE's run queue, and nothing is encoded. A socket transport
+// without faults encodes cross-PE tasks only, at flush time.
 //
 // Batching (on by default): cross-PE spawns coalesce per directed PE pair —
-// on the fast path into per-pair staging rows flushed to the destination
-// mailbox as one deliver_batch, on the channel path into multi-payload
-// frames (the same knobs are forwarded to ReliableOptions). A batch flushes
-// when it reaches batch_bytes, ages past batch_flush_us, or its owning PE
-// goes idle or parks; receivers drain up to drain_max messages per loop
-// pass under a single mailbox lock. batch_bytes == 0 restores the exact
-// one-message-one-delivery PR 4 plane (the --no-batch leg).
+// without the channel into per-pair rows of Tasks, flushed as one push into
+// the destination's run queue (typed plane) or one encoded send_batch
+// (socket transport); with the channel into multi-payload frames (the same
+// knobs are forwarded to ReliableOptions). A row's size is its task count
+// times kTaskWireBytes. A batch flushes when it reaches batch_bytes, ages
+// past batch_flush_us, or its owning PE goes idle or parks; receivers take
+// up to drain_max tasks (or messages) per loop pass under one queue lock.
+// batch_bytes == 0 restores one delivery per task (the --no-batch leg).
 
 // Which Transport carries cross-PE messages (net/transport.h). kInProc is
 // the historical shared-memory mailbox plane; kUds/kTcp route every cross-PE
@@ -91,7 +102,9 @@ struct NetOptions {
   // message: a per-message yield loop is exactly the ping-pong stall that
   // produced the 2-PE cliff (see docs/PERF.md). Never blocking is
   // load-bearing: the spawner may hold vertex-stripe locks (globally shared
-  // hash stripes) that the congested receiver needs to make progress.
+  // hash stripes) that the congested receiver needs to make progress. The
+  // backlog is the destination's run queue on the typed plane (it also holds
+  // that PE's own work), its transport mailbox otherwise.
   std::uint64_t backpressure_limit = 1 << 15;  // 0 disables the check
   std::uint32_t backpressure_spins = 64;
   // Boundary summaries: per-(destination PE, plane) tables recording the
@@ -108,8 +121,9 @@ struct NetOptions {
   // take their own locks.
   bool steal = true;
   std::uint64_t steal_min = 16;  // don't steal below this victim backlog
-  // Idle parking: a PE with an empty mailbox and nothing stealable blocks
-  // on its mailbox condvar for at most this long (0 = yield-spin instead).
+  // Idle parking: a PE with an empty inbox and nothing stealable blocks on
+  // its inbox condvar (the run queue's on the typed plane, the mailbox's
+  // otherwise) for at most this long (0 = yield-spin instead).
   // Bounded so pause requests, steal opportunities and retransmit timers
   // are still polled; parking matters most on hosts with fewer cores than
   // PEs, where a yield-spinning idler competes with the busy PEs for the
@@ -124,8 +138,10 @@ struct ThreadEngineStats {
   std::uint64_t tasks_executed = 0;
   std::uint64_t remote_messages = 0;
   std::uint64_t local_messages = 0;
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t mailbox_high_water = 0;  // deepest mailbox backlog seen
+  std::uint64_t bytes_sent = 0;          // encoded bytes (0 on the typed plane)
+  // Deepest inbox backlog seen: the run queues' on the typed plane, the
+  // transport's otherwise.
+  std::uint64_t mailbox_high_water = 0;
   std::uint64_t msg_batched = 0;         // messages sent inside a batch
   std::uint64_t batch_flushes = 0;       // batches flushed
   std::uint64_t backpressure_stalls = 0; // spawns that hit the soft limit
@@ -137,9 +153,10 @@ struct ThreadEngineStats {
 };
 
 // Online health monitoring: a watchdog thread samples the metrics registry,
-// the controller and the mailboxes every `interval_ms` and flags
+// the controller and the inboxes every `interval_ms` and flags
 //   - a marking wave with no front progress for `stall_samples` samples,
-//   - a mailbox backlog above `mailbox_saturation`,
+//   - an inbox backlog (run queue on the typed plane) above
+//     `mailbox_saturation`,
 //   - more than `rescue_storm` supplementary waves within one cycle,
 // as health_warning trace events plus always-on counters (the counters
 // survive -DDGR_TRACE=OFF; only the event emission compiles out).
@@ -167,7 +184,8 @@ class ThreadEngine final : public TaskSink, public PoolSet {
 
   // Start the PE threads (idempotent).
   void start();
-  // Stop the PE threads; pending work is abandoned.
+  // Stop the PE threads, waking any parked on an inbox; pending work is
+  // abandoned.
   void stop();
 
   // Block until no task is pending or executing anywhere.
@@ -237,7 +255,7 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // This engine's PE id for the calling thread; -1 for any thread that is
   // not one of this engine's PE threads.
   int self_pe() const;
-  // Execute typed tasks / drained mailbox messages on PE thread `pe`,
+  // Execute typed tasks / drained transport messages on PE thread `pe`,
   // retiring each. `inbox` is the PE whose mailbox `msgs` came from (the
   // channel's receiver state is per inbox, whichever thread drains it).
   void run_tasks(PeId pe, const std::vector<Task>& tasks);
@@ -246,9 +264,16 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // Quiescence accounting (see counts_); `self` is the caller's self_pe().
   void count_spawn(int self);
   void retire(PeId pe);
+  // Tasks waiting in PE `pe`'s inbox: its run queue on the typed plane, its
+  // transport mailbox otherwise (backpressure and the watchdog read this).
+  std::size_t inbox_depth(PeId pe) const {
+    return typed_ ? runq_[pe]->q.size() : transport_->pending(pe);
+  }
+  // Encode `t` for the byte plane, charging bytes_sent to `src`.
+  Mailbox::Bytes encode_counted(PeId src, const Task& t);
   // Move PE `pe`'s staged local spawns into its run queue (owner only).
   void publish_local(PeId pe) { runq_[pe]->q.push_all(runq_[pe]->staged); }
-  // Fast-path batching: flush every staged pair whose sender is `pe`
+  // Channel-free batching: flush every staged pair whose sender is `pe`
   // (force) or only the size/age-ripe ones. PE-thread-local: row `pe` of
   // out_ is touched exclusively by its owning thread.
   void flush_outgoing(PeId pe, bool force);
@@ -258,8 +283,8 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // synchronization.
   void maybe_backpressure(PeId src, PeId dst);
   // Idle-path stealing: take up to half of the deepest peer backlog (run
-  // queue into `tasks`, or mailbox into `buf`) and execute it here. Returns
-  // true if work was taken.
+  // queue into `tasks`, or, off the typed plane, mailbox into `buf`) and
+  // execute it here. Returns true if work was taken.
   bool try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
                  std::vector<Task>& tasks);
   // Walk the graph once and charge edge_cut / edges_total per owning PE
@@ -285,27 +310,33 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   std::unique_ptr<Mutator> mutator_;
   std::unique_ptr<Controller> controller_;
 
-  // Cross-PE delivery plane: InProcTransport (mailboxes) by default, a
-  // SocketTransport when NetOptions::transport selects uds/tcp.
+  // Message plane: options, and whether this engine runs the typed plane
+  // (no faults, no forced channel, in-process transport; see the header).
+  NetOptions net_;
+  const bool typed_;
+  // Cross-PE byte plane: InProcTransport (mailboxes) by default, a
+  // SocketTransport when NetOptions::transport selects uds/tcp. The typed
+  // plane never sends on it.
   std::unique_ptr<Transport> transport_;
-  // Local run queues, one per PE (fault-free plane only): marking tasks a
-  // PE thread spawns for its own PE, as values. The owner stages its spawns
-  // in `staged` (no lock) and publishes them to `q` once per loop pass, so
-  // the queue lock is taken per burst, not per task; `q` is popped by the
-  // owner and by idle thieves.
+  // Local run queues, one per PE (channel-free planes): marking tasks for
+  // this PE, as values. The owner stages its own spawns in `staged` (no
+  // lock) and publishes them to `q` once per loop pass, so the queue lock is
+  // taken per burst, not per task; on the typed plane peers' flushes and
+  // external spawns push into `q` too, making it the PE's only inbox. `q` is
+  // popped by the owner and by idle thieves.
   struct LocalRun {
     MpmcQueue<Task> q;
     std::vector<Task> staged;  // owning PE thread only
   };
   std::vector<std::unique_ptr<LocalRun>> runq_;
-  // Fast-path sender staging (fault-free plane only; the channel batches on
-  // its own when active). out_[src][dst] holds cross-PE marking messages
-  // awaiting a coalesced send_batch. No locks: row src belongs to PE
-  // thread src alone; external (self_pe() == -1) spawns bypass staging.
+  // Sender staging (channel-free planes; the channel batches on its own when
+  // active). out_[src][dst] holds cross-PE marking tasks awaiting one flush:
+  // a push into dst's run queue (typed plane) or an encoded send_batch. No
+  // locks: row src belongs to PE thread src alone; external
+  // (self_pe() == -1) spawns bypass staging.
   struct OutBatch {
-    std::vector<Mailbox::Bytes> msgs;
-    std::size_t bytes = 0;
-    std::uint64_t deadline_us = 0;  // set when the first message is staged
+    std::vector<Task> tasks;
+    std::uint64_t deadline_us = 0;  // set when the first task is staged
   };
   std::vector<std::vector<OutBatch>> out_;
   // Backpressure arming, indexed [src][dst]. Row src is written only by PE
@@ -321,10 +352,9 @@ class ThreadEngine final : public TaskSink, public PoolSet {
     std::vector<std::uint8_t> prior;
   };
   std::vector<std::unique_ptr<BoundaryShard>> summary_;
-  // Active message plane (null on the fault-free fast path). Frames flow
-  // spawn → chan_ → fault_ → mail_; pe_loop feeds raw frames back through
-  // chan_->on_frame and executes the exactly-once payload stream.
-  NetOptions net_;
+  // Fault/channel layers (null unless NetOptions::enabled()). Frames flow
+  // spawn → chan_ → fault_ → transport_; pe_loop feeds raw frames back
+  // through chan_->on_frame and executes the exactly-once payload stream.
   std::unique_ptr<FaultPlane> fault_;
   std::unique_ptr<ChannelManager> chan_;
 

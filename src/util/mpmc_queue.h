@@ -1,5 +1,5 @@
-// Unbounded multi-producer multi-consumer queue used for PE mailboxes in the
-// multi-threaded engine.
+// Unbounded multi-producer multi-consumer queue used for PE mailboxes and
+// run queues in the multi-threaded engine.
 //
 // A mutex+condvar design is deliberately chosen over a lock-free ring: PE
 // mailboxes in this system carry coarse task messages (hundreds of ns of work
@@ -21,35 +21,26 @@ namespace dgr {
 template <typename T>
 class MpmcQueue {
  public:
-  // Returns the queue depth immediately after the push, so callers tracking
-  // a high-water gauge need no second lock acquisition.
-  std::size_t push(T item) {
-    std::size_t depth;
+  void push(T item) {
     {
       std::lock_guard<std::mutex> lk(mu_);
       q_.push_back(std::move(item));
-      depth = q_.size();
-      size_.store(depth, std::memory_order_relaxed);
+      note_push();
     }
     cv_.notify_one();
-    return depth;
   }
 
   // Push a whole batch under one lock; `items` is left empty, its capacity
-  // kept for the caller to refill. Returns the queue depth after the last
-  // element.
-  std::size_t push_all(std::vector<T>& items) {
-    if (items.empty()) return 0;
-    std::size_t depth;
+  // kept for the caller to refill.
+  void push_all(std::vector<T>& items) {
+    if (items.empty()) return;
     {
       std::lock_guard<std::mutex> lk(mu_);
       for (T& item : items) q_.push_back(std::move(item));
-      depth = q_.size();
-      size_.store(depth, std::memory_order_relaxed);
+      note_push();
     }
     items.clear();
     cv_.notify_all();
-    return depth;
   }
 
   // Non-blocking pop.
@@ -129,11 +120,26 @@ class MpmcQueue {
 
   bool empty() const { return size() == 0; }
 
+  // Deepest backlog seen right after a push (lock-free read, like size()).
+  std::size_t high_water() const {
+    return high_water_.load(std::memory_order_relaxed);
+  }
+
  private:
+  // Under mu_ after a push: publish the depth and raise the high-water mark.
+  // Only lock holders write either gauge, so plain load/store pairs suffice.
+  void note_push() {
+    const std::size_t depth = q_.size();
+    size_.store(depth, std::memory_order_relaxed);
+    if (depth > high_water_.load(std::memory_order_relaxed))
+      high_water_.store(depth, std::memory_order_relaxed);
+  }
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   std::deque<T> q_;
   std::atomic<std::size_t> size_{0};
+  std::atomic<std::size_t> high_water_{0};
   bool closed_ = false;
 };
 

@@ -75,34 +75,48 @@ Graph make_presized(std::uint32_t pes, std::uint32_t cap) {
 }
 
 TEST(MetricsRegistry, ThreadEngineCountersMatchMarker) {
-  Graph g = make_presized(4, 2000);
-  RandomGraphOptions opt;
-  opt.num_vertices = 3000;
-  opt.seed = 11;
-  const BuiltGraph b = build_random_graph(g, opt);
-  ThreadEngine eng(g);
-  eng.set_root(b.root);
-  eng.start();
-  eng.controller().start_cycle(CycleOptions{false});
-  eng.wait_cycle_done();
-  eng.stop();
+  // Both message planes: the typed default (tasks move as values, nothing is
+  // encoded) and the byte plane (force_reliable: every task is encoded and
+  // crosses the channel and the mailboxes).
+  for (const bool bytes : {false, true}) {
+    SCOPED_TRACE(bytes ? "byte plane" : "typed plane");
+    Graph g = make_presized(4, 2000);
+    RandomGraphOptions opt;
+    opt.num_vertices = 3000;
+    opt.seed = 11;
+    const BuiltGraph b = build_random_graph(g, opt);
+    NetOptions net;
+    net.force_reliable = bytes;
+    ThreadEngine eng(g, net);
+    eng.set_root(b.root);
+    eng.start();
+    eng.controller().start_cycle(CycleOptions{false});
+    eng.wait_cycle_done();
+    eng.stop();
 
-  const obs::MetricsRegistry& reg = eng.metrics_registry();
-  // Every mark/return execution increments the registry exactly once, so the
-  // totals must agree with the marker's own counters.
-  EXPECT_EQ(reg.total(obs::Counter::kMarkTasks),
-            eng.controller().last().stats_r.marks);
-  EXPECT_EQ(reg.total(obs::Counter::kReturnTasks),
-            eng.controller().last().stats_r.returns);
-  // The aggregate facade is a view over the same registry.
-  const ThreadEngineStats s = eng.stats();
-  EXPECT_EQ(s.tasks_executed, reg.total(obs::Counter::kMarkTasks) +
-                                  reg.total(obs::Counter::kReturnTasks) +
-                                  reg.total(obs::Counter::kReductionTasks));
-  EXPECT_EQ(s.remote_messages, reg.total(obs::Counter::kRemoteMessages));
-  EXPECT_GT(s.remote_messages, 0u);
-  EXPECT_GT(s.bytes_sent, 0u);
-  EXPECT_GT(s.mailbox_high_water, 0u);
+    const obs::MetricsRegistry& reg = eng.metrics_registry();
+    // Every mark/return execution increments the registry exactly once, so
+    // the totals must agree with the marker's own counters.
+    EXPECT_EQ(reg.total(obs::Counter::kMarkTasks),
+              eng.controller().last().stats_r.marks);
+    EXPECT_EQ(reg.total(obs::Counter::kReturnTasks),
+              eng.controller().last().stats_r.returns);
+    // The aggregate facade is a view over the same registry.
+    const ThreadEngineStats s = eng.stats();
+    EXPECT_EQ(s.tasks_executed, reg.total(obs::Counter::kMarkTasks) +
+                                    reg.total(obs::Counter::kReturnTasks) +
+                                    reg.total(obs::Counter::kReductionTasks));
+    EXPECT_EQ(s.remote_messages, reg.total(obs::Counter::kRemoteMessages));
+    EXPECT_GT(s.remote_messages, 0u);
+    if (bytes) {
+      EXPECT_GT(s.bytes_sent, 0u);
+    } else {
+      EXPECT_EQ(s.bytes_sent, 0u);
+    }
+    // The deepest inbox backlog: mailboxes on the byte plane, run queues on
+    // the typed plane.
+    EXPECT_GT(s.mailbox_high_water, 0u);
+  }
 }
 
 TEST(MetricsRegistry, SimEngineChargesExecutingPe) {

@@ -3,9 +3,16 @@
 // The worker binary resolves via $DGR_WORKER_BIN (set by ctest) or PATH.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -52,7 +59,7 @@ class ProcRig {
     if (rp.trace) eng_->enable_trace(rp.trace_capacity);
     for (const TaskRef& t : b_.tasks)
       eng_->inject(Task::request(t.s, t.d, ReqKind::kVital));
-    eng_->start();
+    EXPECT_TRUE(eng_->start()) << eng_->start_error();
   }
 
   ~ProcRig() { eng_->stop(); }
@@ -484,6 +491,71 @@ TEST(ProcTelemetry, TinyRingSurfacesDropAccounting) {
   EXPECT_GE(rollup_drops, drop_sum);
 }
 #endif  // DGR_TRACE_ENABLED
+
+// ---- Fail fast on a worker binary that cannot run. ----
+
+// A failed exec is reported through a close-on-exec pipe, so start() fails
+// at once instead of waiting out register_timeout_ms (10 s by default).
+void expect_start_fails_fast(const std::string& bin, const char* reason) {
+  Graph g = make_presized(4, 64);
+  g.alloc(0, OpCode::kData);
+  ProcOptions popt;
+  popt.workers = 2;
+  popt.worker_bin = bin;
+  ProcEngine eng(g, popt);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(eng.start());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1));
+  EXPECT_TRUE(eng.failed());
+  EXPECT_NE(eng.start_error().find("'" + bin + "'"), std::string::npos)
+      << eng.start_error();
+  EXPECT_NE(eng.start_error().find(reason), std::string::npos)
+      << eng.start_error();
+}
+
+TEST(ProcEngineStart, MissingWorkerBinaryFailsAtOnce) {
+  expect_start_fails_fast("/nonexistent/dgr_worker",
+                          "No such file or directory (errno 2)");
+}
+
+TEST(ProcEngineStart, NonExecutableWorkerBinaryFailsAtOnce) {
+  char path[] = "/tmp/dgr-not-exec-XXXXXX";
+  const int fd = ::mkstemp(path);  // mode 0600: no execute bit for anyone
+  ASSERT_GE(fd, 0);
+  ::close(fd);
+  expect_start_fails_fast(path, "Permission denied (errno 13)");
+  ::unlink(path);
+}
+
+// The command-line tools turn that failure into a message and exit code 1.
+void expect_cli_fails_fast(const std::string& cmd) {
+  const auto t0 = std::chrono::steady_clock::now();
+  FILE* p = ::popen((cmd + " 2>&1").c_str(), "r");
+  ASSERT_NE(p, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, p)) out += buf;
+  const int status = ::pclose(p);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(1))
+      << cmd;
+  ASSERT_TRUE(WIFEXITED(status)) << cmd << "\n" << out;
+  EXPECT_EQ(WEXITSTATUS(status), 1) << cmd << "\n" << out;
+  EXPECT_NE(out.find("cannot exec worker binary '/nonexistent/dgr_worker': "
+                     "No such file or directory (errno 2)"),
+            std::string::npos)
+      << out;
+}
+
+TEST(ProcEngineStart, DgrRunReportsAMissingWorkerBinary) {
+  expect_cli_fails_fast("echo 'def main() = 6 * 7;' | " DGR_RUN_BIN
+                        " --audit 1 --workers 2"
+                        " --worker-bin /nonexistent/dgr_worker -");
+}
+
+TEST(ProcEngineStart, DgrSoakReportsAMissingWorkerBinary) {
+  expect_cli_fails_fast("DGR_WORKER_BIN=/nonexistent/dgr_worker " DGR_SOAK_BIN
+                        " --workers 2 --seed 4 --ticks 4");
+}
 
 }  // namespace
 }  // namespace dgr

@@ -1,6 +1,6 @@
 // Tests for the multi-threaded engine: parallel decentralized marking with
-// real OS threads, wire-serialized cross-PE messages, typed local run
-// queues, concurrent cooperating mutations, and full cycles with quiesced
+// real OS threads, typed run-queue inboxes (and the encoded byte plane),
+// concurrent cooperating mutations, and full cycles with quiesced
 // restructuring.
 #include <gtest/gtest.h>
 
@@ -217,26 +217,37 @@ TEST(ThreadEngine, ConcurrentMutationsDoNotLoseReachableVertices) {
 TEST(ThreadEngine, ManyPesScaleSmoke) {
   const std::uint32_t pes =
       std::min(8u, std::max(2u, std::thread::hardware_concurrency()));
-  Graph g = make_presized(pes, 3000);
-  RandomGraphOptions opt;
-  opt.num_vertices = pes * 2000;
-  opt.seed = 5;
-  const BuiltGraph b = build_random_graph(g, opt);
-  ThreadEngine eng(g);
-  eng.set_root(b.root);
-  eng.start();
-  CycleOptions copt;
-  copt.detect_deadlock = false;
-  eng.controller().start_cycle(copt);
-  eng.wait_cycle_done();
-  eng.stop();
-  // Cross-PE message traffic must exist (partition-crossing marking).
-  EXPECT_GT(eng.stats().remote_messages, 0u);
-  EXPECT_GT(eng.stats().bytes_sent, 0u);
-  Oracle o(g, b.root, {});
-  g.for_each_live([&](VertexId v) {
-    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
-  });
+  // The typed plane (default) and the byte plane (force_reliable).
+  for (const bool bytes : {false, true}) {
+    SCOPED_TRACE(bytes ? "byte plane" : "typed plane");
+    Graph g = make_presized(pes, 3000);
+    RandomGraphOptions opt;
+    opt.num_vertices = pes * 2000;
+    opt.seed = 5;
+    const BuiltGraph b = build_random_graph(g, opt);
+    NetOptions net;
+    net.force_reliable = bytes;
+    ThreadEngine eng(g, net);
+    eng.set_root(b.root);
+    eng.start();
+    CycleOptions copt;
+    copt.detect_deadlock = false;
+    eng.controller().start_cycle(copt);
+    eng.wait_cycle_done();
+    eng.stop();
+    // Cross-PE message traffic must exist (partition-crossing marking); only
+    // the byte plane encodes it.
+    EXPECT_GT(eng.stats().remote_messages, 0u);
+    if (bytes) {
+      EXPECT_GT(eng.stats().bytes_sent, 0u);
+    } else {
+      EXPECT_EQ(eng.stats().bytes_sent, 0u);
+    }
+    Oracle o(g, b.root, {});
+    g.for_each_live([&](VertexId v) {
+      EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+    });
+  }
 }
 
 // ---- Batched plane equivalence. ----
@@ -434,7 +445,8 @@ TEST(ThreadEngineLocality, StealOffRunsCleanWithZeroStealCounters) {
 
 TEST(ThreadEngineFastPath, LongLocalChainQuiescesOnlyWhenEverySpawnRetired) {
   // One PE: every task after the seed is a local spawn, so the whole wave
-  // moves through the run queue as values and nothing is encoded.
+  // moves through the run queue as values. On the typed plane the external
+  // root seed is a value too, so nothing at all is encoded.
   Graph g = make_presized(1, 20010);
   const std::vector<VertexId> chain = build_chain(g, 20000, ReqKind::kVital);
   ThreadEngine eng(g);
@@ -453,8 +465,7 @@ TEST(ThreadEngineFastPath, LongLocalChainQuiescesOnlyWhenEverySpawnRetired) {
   EXPECT_EQ(executed, spawned);
   EXPECT_GE(reg.total(obs::Counter::kMarkTasks), chain.size());
   EXPECT_EQ(reg.total(obs::Counter::kRemoteMessages), 0u);
-  // Only the external root seed crossed the codec.
-  EXPECT_EQ(reg.total(obs::Counter::kBytesSent), kTaskWireBytes);
+  EXPECT_EQ(reg.total(obs::Counter::kBytesSent), 0u);
   eng.wait_cycle_done();
   eng.stop();
   for (VertexId v : chain) EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
@@ -464,8 +475,8 @@ TEST(ThreadEngineFastPath, PeersStealFromALoadedRunQueue) {
   // Every vertex on PE 0 of a 4-PE engine, under a root with a wide
   // fan-out: the root's mark fills PE 0's run queue at once, so PEs 1-3 can
   // only take part by stealing from it. steal_min = 2 keeps the lone root
-  // seed in PE 0's mailbox from being stolen, which would move the fan-out
-  // onto a thief and into the mailbox.
+  // seed in PE 0's run queue from being stolen, which would move the
+  // fan-out onto a thief.
   Graph g = make_presized(4, 3000);
   Rng rng(21);
   const ReqKind kinds[] = {ReqKind::kVital, ReqKind::kEager, ReqKind::kNone};
@@ -501,7 +512,7 @@ TEST(ThreadEngineFastPath, PeersStealFromALoadedRunQueue) {
 
 TEST(ThreadEngineFastPath, ExternalSeedWakesAParkedPe) {
   // A PE left to sleep out its idle wait would take a whole second to see
-  // the seed; the mailbox delivery must wake it instead.
+  // the seed; the push into its run queue must wake it instead.
   Graph g = make_presized(1, 8);
   const VertexId v = g.alloc(0, OpCode::kData);
   NetOptions net;
@@ -523,6 +534,91 @@ TEST(ThreadEngineFastPath, ExternalSeedWakesAParkedPe) {
   }
   eng.stop();
   EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
+}
+
+// ---- The typed plane: every marking task a value, run queues as inboxes.
+
+TEST(ThreadEngineTypedPlane, StopWakesPesParkedOnTheirRunQueues) {
+  // Idle PEs park on their run queue's condvar; stop() must wake them
+  // rather than let each sleep out a one-second idle wait.
+  Graph g = make_presized(4, 8);
+  const VertexId v = g.alloc(0, OpCode::kData);
+  NetOptions net;
+  net.idle_wait_us = 1'000'000;
+  ThreadEngine eng(g, net);
+  eng.set_root(v);
+  eng.start();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // PEs park
+  const auto t0 = std::chrono::steady_clock::now();
+  eng.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(100));
+}
+
+TEST(ThreadEngineTypedPlane, CrossPeTasksMoveAsBatchedValues) {
+  // A greedy-partitioned 4-PE graph still cuts edges, so waves cross PEs:
+  // those tasks are staged per pair and flushed into run queues, never
+  // encoded and never delivered to a mailbox. Marks stay Oracle-exact.
+  Graph g = make_presized(4, 1500);
+  RandomGraphOptions opt;
+  opt.num_vertices = 4000;
+  opt.seed = 77;
+  opt.num_tasks = 24;
+  opt.partition = PartitionStrategy::kGreedy;
+  const BuiltGraph b = build_random_graph(g, opt);
+  Oracle o(g, b.root, b.tasks);
+  ThreadEngine eng(g);
+  eng.set_root(b.root);
+  for (const TaskRef& t : b.tasks)
+    eng.inject(Task::request(t.s, t.d, ReqKind::kVital));
+  eng.start();
+  eng.controller().start_cycle();
+  eng.wait_cycle_done();
+  eng.stop();
+  const ThreadEngineStats st = eng.stats();
+  EXPECT_GT(st.remote_messages, 0u);
+  EXPECT_GT(st.msg_batched, 0u);
+  EXPECT_EQ(st.bytes_sent, 0u);
+  EXPECT_GT(st.mailbox_high_water, 0u);  // run-queue high-water
+  EXPECT_EQ(eng.transport().stats().frames_sent, 0u);
+  for (VertexId v : b.vertices) {
+    if (g.is_free(v)) continue;
+    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
+    EXPECT_EQ(eng.marker().is_marked(Plane::kT, v), o.in_T(v));
+  }
+}
+
+TEST(ThreadEngineTypedPlane, WatchdogSeesARunQueueBacklog) {
+  // One PE under a root with a 30,000-wide fan-out: the root's mark fills
+  // the run queue far past the saturation threshold, and the watchdog must
+  // read that queue (the mailbox stays empty on this plane).
+  Graph g = make_presized(1, 30010);
+  const VertexId root = g.alloc(0, OpCode::kData);
+  for (int i = 0; i < 30000; ++i)
+    connect(g, root, g.alloc(0, OpCode::kData), ReqKind::kVital);
+  ThreadEngine eng(g);
+  eng.set_root(root);
+  WatchdogOptions wopt;
+  wopt.interval_ms = 1;
+  wopt.mailbox_saturation = 256;
+  eng.enable_watchdog(wopt);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  const auto saturated = [&] {
+    return eng.health().warnings[static_cast<std::size_t>(
+        obs::HealthKind::kMailboxSaturated)];
+  };
+  // A wave drains in a few ms; on a loaded host the watchdog may sleep
+  // through one, so cycle until it fires (with a bound).
+  for (int i = 0; i < 50 && saturated() == 0; ++i) {
+    eng.controller().start_cycle(copt);
+    eng.wait_cycle_done();
+  }
+  eng.stop();
+  EXPECT_GE(saturated(), 1u);
+  EXPECT_EQ(eng.transport().stats().frames_sent, 0u);
 }
 
 // ---- Online health auditing (safe-point audits + watchdog). ----

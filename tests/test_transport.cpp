@@ -1,6 +1,7 @@
-// Socket-transport isolation tests (docs/CLUSTER.md): the frame codec under
-// adversarial segmentation, and the hub's registration/reconnect discipline —
-// everything below the engines, exercised without an engine.
+// Socket-transport tests (docs/CLUSTER.md): the frame codec under
+// adversarial segmentation and the hub's registration/reconnect discipline,
+// exercised without an engine; then one ThreadEngine cycle over uds and tcp,
+// the only users of the unfaulted encoded byte plane.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -10,12 +11,15 @@
 #include <thread>
 #include <vector>
 
+#include "graph/builder.h"
+#include "graph/oracle.h"
 #include "net/frame.h"
 #include "net/proto.h"
 #include "net/socket.h"
 #include "net/socket_hub.h"
 #include "net/socket_transport.h"
 #include "net/transport.h"
+#include "runtime/thread_engine.h"
 
 namespace dgr {
 namespace {
@@ -516,6 +520,53 @@ INSTANTIATE_TEST_SUITE_P(Addrs, SocketTransportKinds,
                          ::testing::Values("", "tcp:127.0.0.1:0"),
                          [](const ::testing::TestParamInfo<const char*>& i) {
                            return i.index == 0 ? "uds" : "tcp";
+                         });
+
+// ---- ThreadEngine over a socket transport: the remaining byte fast path.
+
+class ThreadEngineOverSockets
+    : public ::testing::TestWithParam<TransportKind> {};
+
+TEST_P(ThreadEngineOverSockets, CycleIsOracleExactAndEncodesBatches) {
+  // Without faults, cross-PE tasks are staged as values per pair and
+  // encoded only at flush time, one send_batch per row, over real sockets.
+  Graph g(3, 1500);
+  for (PeId pe = 0; pe < 3; ++pe) g.store(pe).set_fixed_capacity(true);
+  RandomGraphOptions opt;
+  opt.num_vertices = 3000;
+  opt.seed = 19;
+  opt.num_tasks = 24;
+  const BuiltGraph b = build_random_graph(g, opt);
+  Oracle o(g, b.root, b.tasks);
+  NetOptions net;
+  net.transport = GetParam();
+  ThreadEngine eng(g, net);
+  eng.set_root(b.root);
+  for (const TaskRef& t : b.tasks)
+    eng.inject(Task::request(t.s, t.d, ReqKind::kVital));
+  eng.start();
+  eng.controller().start_cycle();
+  eng.wait_cycle_done();
+  eng.stop();
+  const ThreadEngineStats st = eng.stats();
+  EXPECT_GT(st.remote_messages, 0u);
+  EXPECT_GT(st.bytes_sent, 0u);
+  EXPECT_GT(st.msg_batched, 0u);
+  EXPECT_GT(eng.transport().stats().frames_sent, 0u);
+  for (VertexId v : b.vertices) {
+    if (g.is_free(v)) continue;
+    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
+    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
+    EXPECT_EQ(eng.marker().is_marked(Plane::kT, v), o.in_T(v));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, ThreadEngineOverSockets,
+                         ::testing::Values(TransportKind::kUds,
+                                           TransportKind::kTcp),
+                         [](const ::testing::TestParamInfo<TransportKind>& i) {
+                           return i.param == TransportKind::kUds ? "uds"
+                                                                 : "tcp";
                          });
 
 }  // namespace

@@ -330,18 +330,22 @@ int main(int argc, char** argv) {
   // The thread and proc engines arm and report the shared safe-point
   // auditor the same way; the sim engine audits via the paranoid sweep
   // check instead.
-  const auto start_gated = [&](auto& e) {
+  const auto arm_gated = [&](auto& e) {
     if (audit_period) e.enable_audit(AuditOptions{audit_period});
 #if DGR_TRACE_ENABLED
     if (jsonl_path) e.enable_trace();
 #endif
-    e.start();
   };
   if (thr) {
     thr->enable_watchdog();
-    start_gated(*thr);
+    arm_gated(*thr);
+    thr->start();
   } else if (proc) {
-    start_gated(*proc);
+    arm_gated(*proc);
+    if (!proc->start()) {
+      std::fprintf(stderr, "dgr_soak: %s\n", proc->start_error().c_str());
+      return 1;
+    }
   } else {
 #if DGR_TRACE_ENABLED
     if (jsonl_path) sim->enable_trace();
