@@ -4,6 +4,7 @@
 // centralized structure. Table: measured task counts vs |V|, |E| across
 // graph families; the marks/edge ratio should sit at ~1.
 #include "bench/bench_common.h"
+#include "runtime/thread_engine.h"
 
 namespace dgr::bench {
 namespace {
@@ -19,6 +20,16 @@ std::size_t count_edges(const Graph& g) {
   return e;
 }
 
+void print_row(const char* name, std::size_t V, std::size_t E,
+               const MarkStats& st) {
+  std::printf("%10s %10zu %10zu %10llu %10llu %10llu %12.3f\n", name, V, E,
+              (unsigned long long)st.marks,
+              (unsigned long long)st.returns,
+              (unsigned long long)st.remarks,
+              static_cast<double>(st.marks) /
+                  static_cast<double>(E ? E : 1));
+}
+
 void run_family(const char* name, Graph& g, VertexId root) {
   const std::size_t V = g.total_live();
   const std::size_t E = count_edges(g);
@@ -30,13 +41,24 @@ void run_family(const char* name, Graph& g, VertexId root) {
   copt.detect_deadlock = false;
   eng.controller().start_cycle(copt);
   eng.run_until_cycle_done();
-  const MarkStats& st = eng.controller().last().stats_r;
-  std::printf("%10s %10zu %10zu %10llu %10llu %10llu %12.3f\n", name, V, E,
-              (unsigned long long)st.marks,
-              (unsigned long long)st.returns,
-              (unsigned long long)st.remarks,
-              static_cast<double>(st.marks) /
-                  static_cast<double>(E ? E : 1));
+  print_row(name, V, E, eng.controller().last().stats_r);
+}
+
+// The same cycle on a 1-PE ThreadEngine, whose run queue pops in mark_order
+// (strongest marks first) where the simulator picks tasks at random. One PE
+// keeps the order, and so the counts, deterministic.
+void run_family_threaded(const char* name, Graph& g, VertexId root) {
+  const std::size_t V = g.total_live();
+  const std::size_t E = count_edges(g);
+  ThreadEngine eng(g);
+  eng.set_root(root);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller().start_cycle(copt);
+  eng.wait_cycle_done();
+  eng.stop();
+  print_row(name, V, E, eng.controller().last().stats_r);
 }
 
 void table() {
@@ -66,6 +88,9 @@ void table() {
     opt.seed = 4;
     const BuiltGraph b = build_random_graph(g, opt);
     run_family("random", g, b.root);
+    Graph g1(1);  // the same topology on one PE
+    const BuiltGraph b1 = build_random_graph(g1, opt);
+    run_family_threaded("random/thr", g1, b1.root);
   }
   {
     // Dense cyclic ring-of-cliques: shared vertices reached many times;

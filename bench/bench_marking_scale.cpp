@@ -108,6 +108,10 @@ void BM_ThreadedCycle(benchmark::State& state) {
           ? static_cast<double>(count_marked(g, eng)) *
                 static_cast<double>(state.iterations()) / wall_s
           : 0.0;
+  // mark2's priority-upgrade re-marks in the last cycle, which the run
+  // queues' mark_order keeps low.
+  state.counters["remarks"] =
+      double(eng.controller().last().stats_r.remarks);
   state.counters["boundary_dedup"] = double(eng.stats().boundary_dedup);
   state.counters["steal_tasks"] = double(eng.stats().steal_tasks);
   state.counters["edge_cut"] = double(eng.stats().edge_cut);
@@ -149,6 +153,8 @@ void BM_ThreadedCycleNoBatch(benchmark::State& state) {
           ? static_cast<double>(count_marked(g, eng)) *
                 static_cast<double>(state.iterations()) / wall_s
           : 0.0;
+  state.counters["remarks"] =
+      double(eng.controller().last().stats_r.remarks);
   report_obs_counters(state, eng.metrics_registry());
   state.counters["mailbox_high_water"] =
       double(eng.stats().mailbox_high_water);

@@ -137,10 +137,12 @@ class Controller {
   // per cycle); aborts on the first reachable vertex about to be freed.
   void set_paranoid_sweep_check(bool on) { paranoid_ = on; }
 
-  // Create the auxiliary roots (per-PE taskroots, troot, uroot) up front.
-  // The threaded engine needs this before start(): aux roots are otherwise
-  // allocated lazily during the first cycle, and growing a store's slot
-  // vector while PE threads read it would be a reallocation race.
+  // Create every auxiliary root (per-PE taskroots, troot, uroot and both
+  // planes' rescue roots) up front. ThreadEngine::start() calls this before
+  // any PE thread runs: aux roots are otherwise allocated lazily mid-cycle on
+  // a PE thread (uroot when M_R starts, a rescue root when a wave ends), and
+  // that allocation would race a mutator's Store::alloc on the same free
+  // list and slot vector. Idempotent.
   void prewarm_aux_roots();
 
   // Observability: emit cycle / phase / restructuring events into `t`

@@ -265,4 +265,10 @@ bool Marker::launch_rescue_wave(Plane plane) {
   return true;
 }
 
+void Marker::prewarm_rescue_roots() {
+  for (PlaneState& ps : state_)
+    if (!ps.rescue_root.valid())
+      ps.rescue_root = g_.store(0).make_aux(OpCode::kTaskRoot);
+}
+
 }  // namespace dgr

@@ -199,6 +199,10 @@ class Marker {
   bool is_rescue_queued(Plane plane, VertexId v) const;
   // Returns true if a supplementary wave was launched (plane reopened).
   bool launch_rescue_wave(Plane plane);
+  // Mint both planes' rescue roots now instead of at the first rescue wave,
+  // which runs on whichever PE thread terminates the main wave (see
+  // Controller::prewarm_aux_roots).
+  void prewarm_rescue_roots();
   // Atomic so the ThreadEngine watchdog can sample it concurrently.
   std::uint64_t rescue_waves(Plane plane) const {
     return st(plane).rescue_waves.load(std::memory_order_relaxed);

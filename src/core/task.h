@@ -11,6 +11,7 @@
 // the vertices it manipulates (enforced by the engines).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -101,6 +102,23 @@ struct Task {
     return t;
   }
 };
+
+// Run-queue order of marking tasks: the bucket a PE's run queue files `t`
+// under, lowest run first (util/mpmc_queue.h). Tasks without a priority —
+// return tasks and M_T's marks — → 0, then mark2 priority 3 → 1, priority
+// 2 → 2, priority 1 → 3. mark2 (Fig 5-1) re-marks a vertex, and re-spawns
+// marks to all its children, each time a stronger mark reaches it after a
+// weaker one; running the strongest marks first lets most vertices be
+// reached at their final priority on the first visit. Returns change no
+// priority, and running them at once keeps the queues short instead of
+// holding the return of every mark run until the mark buckets drain. The
+// order cannot change the result: mark2 converges to the same max-min
+// fixpoint under any schedule.
+inline constexpr std::size_t kMarkOrders = 4;
+inline std::size_t mark_order(const Task& t) {
+  if (t.kind != TaskKind::kMark || t.prior == 0) return 0;
+  return kMarkOrders - (t.prior < 3 ? t.prior : 3u);
+}
 
 // Where tasks go when spawned. Implemented by the engines: a spawned task is
 // (logically) a message routed to owner(d); "no waiting is done for the

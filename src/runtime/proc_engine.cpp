@@ -107,8 +107,9 @@ bool ProcEngine::start() {
   started_ = true;
   // No prewarm_aux_roots here: the controller mints every aux root it needs
   // (taskroots, troot, uroot) before on_plane_begin fires, so the handoff
-  // always ships them — and eager allocation here would advance this graph's
-  // free lists relative to the sim/thread replicas the chaos harness diffs.
+  // always ships them, and it runs under mu_, so no mutator races the
+  // allocation. Harnesses that diff this replica against a ThreadEngine one
+  // (which mints them at start()) call prewarm_aux_roots on both.
 
   hub_.set_control_handler([this](std::uint32_t worker, NetFrame f) {
     handle_control(worker, std::move(f));

@@ -150,6 +150,9 @@ ThreadEngine::~ThreadEngine() { stop(); }
 
 void ThreadEngine::start() {
   if (running_.exchange(true)) return;
+  // Every aux root exists before a PE thread can need one (see
+  // Controller::prewarm_aux_roots).
+  controller_->prewarm_aux_roots();
   count_edge_cut();
   for (PeId pe = 0; pe < g_.num_pes(); ++pe)
     threads_.emplace_back([this, pe] { pe_loop(pe); });

@@ -157,7 +157,7 @@ void WorkerEngine::spawn(Task t) {
   const PeId dst = t.d.pe;
   if (owns(dst)) {
     reg_.add(cur_pe_, obs::Counter::kLocalMessages);
-    q_.push_back(t);
+    q_.push(t);
     return;
   }
   std::vector<std::uint8_t> bytes = encode_task(t);
@@ -171,14 +171,13 @@ void WorkerEngine::spawn(Task t) {
 }
 
 void WorkerEngine::exec_local(Task t) {
-  q_.push_back(std::move(t));
+  q_.push(std::move(t));
   drain_local();
 }
 
 void WorkerEngine::drain_local() {
   while (!q_.empty()) {
-    const Task t = q_.front();
-    q_.pop_front();
+    const Task t = q_.pop();
     cur_pe_ = t.d.pe;
     reg_.observe(t.d.pe, obs::Hist::kMarkQueueDepth,
                  static_cast<double>(q_.size() + 1));

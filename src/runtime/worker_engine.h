@@ -22,7 +22,6 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <vector>
 
@@ -35,6 +34,7 @@
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/mpmc_queue.h"
 #include "util/stats.h"
 
 namespace dgr {
@@ -93,7 +93,10 @@ class WorkerEngine final : public TaskSink {
   // pairs whose src this worker owns, receiver-side for its dst PEs).
   std::unique_ptr<FaultPlane> fault_;
   std::unique_ptr<ChannelManager> chan_;
-  std::deque<Task> q_;       // locally-owned tasks awaiting execution
+  // Locally-owned tasks awaiting execution, popped in mark_order (as
+  // ThreadEngine's run queues: strongest marks first) by the same bucket
+  // code.
+  MpmcQueue<Task, kMarkOrders, &mark_order>::Buckets q_;
   PeId cur_pe_ = 0;          // PE context of the task being executed
   bool clean_shutdown_ = false;
   bool fatal_ = false;

@@ -621,6 +621,101 @@ TEST(ThreadEngineTypedPlane, WatchdogSeesARunQueueBacklog) {
   EXPECT_EQ(eng.transport().stats().frames_sent, 0u);
 }
 
+TEST(ThreadEngine, NoAuxRootIsMintedAfterStart) {
+  // Roots adopted after start() make M_R mark from uroot, and M_T needs
+  // troot and the taskroots. start() mints all of them (and the rescue
+  // roots), so no PE thread takes a slot from a store's free list mid-wave,
+  // where it would race a mutator's Store::alloc.
+  Graph g = make_presized(2, 32);
+  const VertexId a = g.alloc(0, OpCode::kData);
+  const VertexId b = g.alloc(1, OpCode::kData);
+  connect(g, a, g.alloc(1, OpCode::kData), ReqKind::kVital);
+  ThreadEngine eng(g);
+  eng.set_root(a);
+  eng.start();
+  const std::size_t free0 = g.store(0).free_count();
+  const std::size_t free1 = g.store(1).free_count();
+  eng.controller().set_roots({a, b});
+  for (int i = 0; i < 2; ++i) {
+    CycleOptions copt;
+    copt.detect_deadlock = i == 0;
+    eng.controller().start_cycle(copt);
+    eng.wait_cycle_done();
+  }
+  eng.stop();
+  EXPECT_EQ(g.store(0).free_count(), free0);
+  EXPECT_EQ(g.store(1).free_count(), free1);
+  EXPECT_TRUE(eng.marker().is_marked(Plane::kR, b));
+}
+
+// ---- Priority-ordered run queues: the strongest marks run first. ----
+
+TEST(ThreadEnginePriorityOrder, VitalPathWinsTheDiamondWithoutARemark) {
+  // root → {a (unrequested), b (vital)}, a → c and b → c (both vital). On
+  // one PE the run queue alone orders the wave. In push order a's reserve
+  // mark reaches c first and b's vital one then upgrades it (one re-mark);
+  // in mark_order b runs first, c is marked vital at once and a's reserve
+  // mark to c just returns.
+  Graph g = make_presized(1, 16);
+  const VertexId root = g.alloc(0, OpCode::kData);
+  const VertexId a = g.alloc(0, OpCode::kData);
+  const VertexId b = g.alloc(0, OpCode::kData);
+  const VertexId c = g.alloc(0, OpCode::kData);
+  connect(g, root, a, ReqKind::kNone);
+  connect(g, root, b, ReqKind::kVital);
+  connect(g, a, c, ReqKind::kVital);
+  connect(g, b, c, ReqKind::kVital);
+  Oracle o(g, root, {});
+  ThreadEngine eng(g);
+  eng.set_root(root);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  eng.controller().start_cycle(copt);
+  eng.wait_cycle_done();
+  eng.stop();
+  EXPECT_EQ(eng.controller().last().stats_r.remarks, 0u);
+  for (VertexId v : {root, a, b, c}) {
+    EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
+    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
+  }
+  EXPECT_EQ(eng.marker().prior(Plane::kR, a), 1);
+  EXPECT_EQ(eng.marker().prior(Plane::kR, c), 3);
+}
+
+TEST(ThreadEnginePriorityOrder, StealingThreePesStayOracleExact) {
+  // Thieves pop victims' run queues in mark_order too; whichever PE runs a
+  // mark, the marks and priorities must be the Oracle's every cycle.
+  Graph g = make_presized(3, 1700);
+  RandomGraphOptions opt;
+  opt.num_vertices = 1 << 12;
+  opt.avg_out_degree = 3.0;
+  opt.seed = 29;
+  const BuiltGraph b = build_random_graph(g, opt);
+  Oracle o(g, b.root, {});
+  NetOptions net;
+  net.steal_min = 1;
+  ThreadEngine eng(g, net);
+  eng.set_root(b.root);
+  eng.start();
+  CycleOptions copt;
+  copt.detect_deadlock = false;
+  for (int i = 0; i < 5; ++i) {
+    eng.controller().start_cycle(copt);
+    eng.wait_cycle_done();
+    std::size_t live = 0, wrong_mark = 0, wrong_prior = 0;
+    g.for_each_live([&](VertexId v) {
+      ++live;
+      if (eng.marker().is_marked(Plane::kR, v) != o.in_R(v)) ++wrong_mark;
+      if (eng.marker().prior(Plane::kR, v) != o.prior_at(v)) ++wrong_prior;
+    });
+    EXPECT_GT(live, 0u);
+    EXPECT_EQ(wrong_mark, 0u) << "cycle " << i;
+    EXPECT_EQ(wrong_prior, 0u) << "cycle " << i;
+  }
+  eng.stop();
+}
+
 // ---- Online health auditing (safe-point audits + watchdog). ----
 
 TEST(ThreadEngine, SafePointAuditCleanOnStaticGraph) {

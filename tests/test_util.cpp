@@ -1,6 +1,7 @@
 // Unit tests for the utility layer: RNG determinism, statistics, queues.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <set>
 #include <thread>
 
@@ -158,6 +159,101 @@ TEST(MpmcQueue, ConcurrentProducersConsumers) {
   EXPECT_EQ(consumed.load(), 4 * kPerProducer);
   const long long n = 4LL * kPerProducer;
   EXPECT_EQ(sum.load(), n * (n - 1) / 2);
+}
+
+// A bucketed queue: values 0..99 file under bucket 0, 100..199 under 1, and
+// so on (4 buckets).
+std::size_t hundreds(const int& v) { return static_cast<std::size_t>(v / 100); }
+using BucketedQueue = MpmcQueue<int, 4, &hundreds>;
+
+TEST(MpmcQueue, BucketedPopsLowestBucketFirstFifoWithin) {
+  BucketedQueue q;
+  for (int v : {301, 200, 1, 302, 100, 2, 201, 3}) q.push(v);
+  std::vector<int> batch = {310, 101, 4};
+  q.push_all(batch);
+  EXPECT_TRUE(batch.empty());
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_up_to(4, out), 4u);
+  EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));
+  // A push into a lower bucket mid-drain jumps the queue.
+  q.push(5);
+  EXPECT_EQ(*q.try_pop(), 5);
+  out.clear();
+  EXPECT_EQ(q.pop_up_to(100, out), 7u);
+  EXPECT_EQ(out, (std::vector<int>{100, 101, 200, 201, 301, 302, 310}));
+  EXPECT_FALSE(q.try_pop().has_value());
+}
+
+TEST(MpmcQueue, BucketedSizeAndHighWaterSpanAllBuckets) {
+  BucketedQueue q;
+  q.push(300);
+  q.push(0);
+  std::vector<int> batch = {100, 200, 201};
+  q.push_all(batch);
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.high_water(), 5u);
+  std::vector<int> out;
+  q.pop_up_to(2, out);
+  EXPECT_EQ(out, (std::vector<int>{0, 100}));
+  EXPECT_EQ(q.size(), 3u);
+  EXPECT_EQ(*q.pop(), 200);
+  EXPECT_EQ(*q.pop(), 201);
+  EXPECT_EQ(*q.pop(), 300);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.high_water(), 5u);
+}
+
+TEST(MpmcQueue, BucketedWaitWakesOnAPushIntoAnyBucket) {
+  for (int v : {7, 399}) {
+    BucketedQueue q;
+    std::vector<int> out;
+    const auto t0 = std::chrono::steady_clock::now();
+    std::thread producer([&] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      q.push(v);
+    });
+    const std::size_t n = q.pop_up_to_wait(8, out, std::chrono::seconds(30));
+    producer.join();
+    EXPECT_EQ(n, 1u);
+    EXPECT_EQ(out, (std::vector<int>{v}));
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+  }
+}
+
+TEST(MpmcQueue, BucketedCloseWakesWaiters) {
+  BucketedQueue q;
+  std::vector<int> out;
+  std::size_t waited = 99;
+  bool popped = true;
+  const auto t0 = std::chrono::steady_clock::now();
+  std::thread waiter([&] {
+    waited = q.pop_up_to_wait(8, out, std::chrono::seconds(30));
+  });
+  std::thread popper([&] { popped = q.pop().has_value(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  q.close();
+  waiter.join();
+  popper.join();
+  EXPECT_EQ(waited, 0u);
+  EXPECT_FALSE(popped);
+  EXPECT_TRUE(q.closed());
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
+
+TEST(MpmcQueue, BareBucketsPopInTheQueuesOrder) {
+  BucketedQueue::Buckets b;
+  for (int v : {250, 10, 120, 11}) b.push(v);
+  EXPECT_EQ(b.size(), 4u);
+  EXPECT_EQ(b.pop(), 10);
+  EXPECT_EQ(b.pop(), 11);
+  EXPECT_EQ(b.pop(), 120);
+  b.push(5);  // below the bucket the scan had reached
+  EXPECT_EQ(b.pop(), 5);
+  b.push(399);
+  b.clear();
+  EXPECT_TRUE(b.empty());
+  b.push(260);
+  EXPECT_EQ(b.pop(), 260);
 }
 
 }  // namespace
