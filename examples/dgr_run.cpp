@@ -455,8 +455,9 @@ int main(int argc, char** argv) {
         (unsigned long long)ms.evals, (unsigned long long)ms.instantiations,
         (unsigned long long)ms.vertices_allocated);
     std::printf("# steps=%llu remote_msgs=%llu gc_cycles=%llu swept=%llu\n",
-                (unsigned long long)engine.metrics().steps,
-                (unsigned long long)engine.metrics().remote_messages,
+                (unsigned long long)engine.steps(),
+                (unsigned long long)engine.metrics_registry().total(
+                    obs::Counter::kRemoteMessages),
                 (unsigned long long)engine.controller().cycles_completed(),
                 (unsigned long long)engine.controller().total_swept());
   }

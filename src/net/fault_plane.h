@@ -2,14 +2,15 @@
 //
 // The paper's model (and the seed implementation) assumes tasks <s,d>
 // propagate over a perfectly reliable fabric. FaultPlane sits between a
-// sender and the destination Mailbox and applies a seeded, per-PE-pair fault
-// schedule to every message: drop, duplicate, reorder (hold the message back
-// for a few subsequent sends on the same pair), and truncate-bytes. Each
-// directed pair draws from its own Rng substream, so the decision sequence
-// on a pair depends only on (seed, src, dst) and the order of sends on that
-// pair — single-threaded send sequences replay byte-identically per seed
-// (asserted by test_fault_plane), and multi-threaded runs keep per-pair
-// determinism even though cross-pair interleaving is up to the scheduler.
+// sender and the destination (a ThreadEngine PE's Mailbox, or a dgr_worker's
+// socket) and applies a seeded, per-PE-pair fault schedule to every message:
+// drop, duplicate, reorder (hold the message back for a few subsequent sends
+// on the same pair), and truncate-bytes. Each directed pair draws from its
+// own Rng substream, so the decision sequence on a pair depends only on
+// (seed, src, dst) and the order of sends on that pair — single-threaded
+// send sequences replay byte-identically per seed (asserted by
+// test_fault_plane), and multi-threaded runs keep per-pair determinism even
+// though cross-pair interleaving is up to the scheduler.
 //
 // FaultPlane knows nothing about message contents or reliability; the
 // recovery discipline lives one layer up (net/reliable_channel.h).
@@ -68,9 +69,9 @@ struct FaultPlaneOptions {
 class FaultPlane {
  public:
   using Bytes = std::vector<std::uint8_t>;
-  // Downstream delivery: typically Transport::send toward the destination
-  // (the source PE is carried so socket transports can pick the right
-  // connection; the in-process path ignores it).
+  // Downstream delivery toward the destination: a push into its ThreadEngine
+  // mailbox, or a socket frame from a dgr_worker (which stamps the source
+  // PE into the frame header).
   using DeliverFn = std::function<void(PeId src, PeId dst, Bytes msg)>;
   // Observability hook, called while a fault is injected: kind, sending and
   // receiving PE, and the affected message's size in bytes.

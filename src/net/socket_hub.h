@@ -1,5 +1,5 @@
-// The controller-side socket switchboard for ProcEngine (and the internal
-// relay of SocketTransport).
+// The controller-side socket switchboard for ProcEngine: the one place
+// where frames cross a process boundary on the controller side.
 //
 // One hub = one listening socket + a set of registered peer connections.
 // Per connection the hub runs a reader thread (socket → FrameCodec → route)
@@ -16,9 +16,10 @@
 // handshake. A kRegister carrying the reconnect flag may re-claim a
 // previously registered slot after its connection dropped.
 //
-// Routing: kData frames are forwarded to the peer owning the frame's dst
-// endpoint (ownership is declared by the accept decision's config). Every
-// other frame type is surfaced to the control handler.
+// Routing: kData and kSeed frames are relayed to the peer owning the
+// frame's dst endpoint (ownership is declared by the accept decision's
+// config), FIFO per connection. Every other frame type is surfaced to the
+// control handler.
 #pragma once
 
 #include <condition_variable>
@@ -33,10 +34,27 @@
 #include "net/frame.h"
 #include "net/proto.h"
 #include "net/socket.h"
-#include "net/transport.h"
 #include "util/mpmc_queue.h"
 
 namespace dgr {
+
+// The hub's socket counters (SocketHub::stats()).
+struct TransportStats {
+  std::uint64_t frames_sent = 0;
+  std::uint64_t bytes_sent = 0;
+  std::uint64_t frames_received = 0;
+  std::uint64_t bytes_received = 0;
+  std::uint64_t connects = 0;              // outbound connections established
+  std::uint64_t accepts = 0;               // inbound connections accepted
+  std::uint64_t reconnects = 0;            // re-registrations after a drop
+  std::uint64_t partial_read_resumes = 0;  // frames completed across >1 read
+  std::uint64_t oversized_rejected = 0;    // frames over the size limit
+  std::uint64_t handshakes_rejected = 0;   // registrations refused
+  // Relay path: worker→worker data/seed frames that transited the
+  // switchboard rather than terminating at the controller.
+  std::uint64_t frames_relayed = 0;
+  std::uint64_t bytes_relayed = 0;
+};
 
 class SocketHub {
  public:

@@ -318,22 +318,6 @@ constexpr std::pair<Counter, std::uint64_t PeLoad::*> kPeCounters[] = {
     {Counter::kEdgesTotal, &PeLoad::edges_total},
 };
 
-// The cluster rollup's per-worker counts, under the keys both
-// ProcEngine::cluster_metrics_json and report_to_json use.
-constexpr std::pair<const char*, std::uint64_t WorkerRow::*> kWorkerKeys[] = {
-    {"marks", &WorkerRow::marks},
-    {"returns", &WorkerRow::returns},
-    {"remote_messages", &WorkerRow::remote_messages},
-    {"retransmits", &WorkerRow::retransmits},
-    {"handoff_bytes", &WorkerRow::handoff_bytes},
-    {"handoff_full_bytes", &WorkerRow::handoff_full_bytes},
-    {"handoff_delta_bytes", &WorkerRow::handoff_delta_bytes},
-    {"relayed_frames", &WorkerRow::relayed_frames},
-    {"relayed_bytes", &WorkerRow::relayed_bytes},
-    {"telemetry_msgs", &WorkerRow::telemetry_msgs},
-    {"telemetry_dropped", &WorkerRow::telemetry_dropped},
-};
-
 // Fold one PE row ({"pe":N,"counters":{...},"hists":{...}}) into `p`.
 void read_pe_row(JsonReader& j, const JsonValue& row, PeLoad& p,
                  SessionSlo& s) {

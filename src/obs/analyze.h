@@ -125,28 +125,6 @@ struct DeadlockPostMortem {
   std::vector<std::pair<std::uint16_t, std::uint64_t>> vertices;  // (pe, idx)
 };
 
-// One worker process's row in the cluster rollup (proc-engine runs only;
-// filled by enrich_with_metrics_json when the dump carries a "workers"
-// array — the cluster form ProcEngine::cluster_metrics_json writes).
-struct WorkerRow {
-  std::uint32_t worker = 0;
-  std::uint32_t pe_begin = 0;
-  std::uint32_t pe_count = 0;
-  std::uint64_t marks = 0;
-  std::uint64_t returns = 0;
-  std::uint64_t remote_messages = 0;
-  std::uint64_t retransmits = 0;
-  std::uint64_t handoff_bytes = 0;
-  std::uint64_t handoff_full_bytes = 0;
-  std::uint64_t handoff_delta_bytes = 0;
-  std::uint64_t relayed_frames = 0;
-  std::uint64_t relayed_bytes = 0;
-  std::uint64_t telemetry_msgs = 0;
-  std::uint64_t telemetry_dropped = 0;
-  std::int64_t clock_offset_us = 0;  // worker minus controller; may be < 0
-  std::uint64_t clock_rtt_us = 0;    // RTT of the winning offset probe
-};
-
 // Session-workload SLO rollup (kSessionOpen/Churn/Close events from the
 // src/workload driver; stall fields come from --metrics enrichment, reading
 // the mutator_stall_us histogram and the per-phase stall counters).

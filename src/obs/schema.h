@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "util/enum_table.h"
 
@@ -185,5 +186,45 @@ struct EventChrome {
 inline constexpr EventChrome kEventChrome[] = {
     DGR_OBS_EVENTS(DGR_OBS_EVENT_CHROME)};
 #undef DGR_OBS_EVENT_CHROME
+
+// One worker process's row in the cluster rollup (proc-engine runs only):
+// ProcEngine::cluster_metrics_json writes it, and the analyzer reads it back
+// when a metrics dump carries a "workers" array.
+struct WorkerRow {
+  std::uint32_t worker = 0;
+  std::uint32_t pe_begin = 0;
+  std::uint32_t pe_count = 0;
+  std::uint64_t marks = 0;
+  std::uint64_t returns = 0;
+  std::uint64_t remote_messages = 0;
+  std::uint64_t retransmits = 0;
+  std::uint64_t handoff_bytes = 0;
+  std::uint64_t handoff_full_bytes = 0;
+  std::uint64_t handoff_delta_bytes = 0;
+  std::uint64_t relayed_frames = 0;
+  std::uint64_t relayed_bytes = 0;
+  std::uint64_t telemetry_msgs = 0;
+  std::uint64_t telemetry_dropped = 0;
+  std::int64_t clock_offset_us = 0;  // worker minus controller; may be < 0
+  std::uint64_t clock_rtt_us = 0;    // RTT of the winning offset probe
+};
+
+// The row's per-worker counts under their JSON keys, in write order: the
+// one key list for ProcEngine::cluster_metrics_json, the analyzer's reader
+// and its report_to_json.
+inline constexpr std::pair<const char*, std::uint64_t WorkerRow::*>
+    kWorkerKeys[] = {
+        {"marks", &WorkerRow::marks},
+        {"returns", &WorkerRow::returns},
+        {"remote_messages", &WorkerRow::remote_messages},
+        {"retransmits", &WorkerRow::retransmits},
+        {"handoff_bytes", &WorkerRow::handoff_bytes},
+        {"handoff_full_bytes", &WorkerRow::handoff_full_bytes},
+        {"handoff_delta_bytes", &WorkerRow::handoff_delta_bytes},
+        {"relayed_frames", &WorkerRow::relayed_frames},
+        {"relayed_bytes", &WorkerRow::relayed_bytes},
+        {"telemetry_msgs", &WorkerRow::telemetry_msgs},
+        {"telemetry_dropped", &WorkerRow::telemetry_dropped},
+};
 
 }  // namespace dgr::obs

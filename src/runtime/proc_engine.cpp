@@ -813,19 +813,22 @@ std::string ProcEngine::cluster_metrics_json() const {
     append_kv(out, "pe_begin", s.pe_begin);
     append_kv(out, "pe_count", s.pes.size());
     append_kv(out, "alive", s.alive);
-    append_kv(out, "marks", range_sum(w, obs::Counter::kMarkTasks));
-    append_kv(out, "returns", range_sum(w, obs::Counter::kReturnTasks));
-    append_kv(out, "remote_messages",
-              range_sum(w, obs::Counter::kRemoteMessages));
-    append_kv(out, "retransmits", range_sum(w, obs::Counter::kMsgRetransmit));
-    append_kv(out, "handoff_bytes", s.handoff_bytes);
-    append_kv(out, "handoff_full_bytes", s.handoff_full_bytes);
-    append_kv(out, "handoff_delta_bytes", s.handoff_delta_bytes);
-    append_kv(out, "relayed_frames", w < relay.size() ? relay[w].frames : 0);
-    append_kv(out, "relayed_bytes", w < relay.size() ? relay[w].bytes : 0);
-    append_kv(out, "telemetry_msgs", tele_[w].telemetry_msgs);
-    append_kv(out, "telemetry_dropped",
-              tele_[w].ring_dropped + tele_[w].events_omitted);
+    obs::WorkerRow row;
+    row.marks = range_sum(w, obs::Counter::kMarkTasks);
+    row.returns = range_sum(w, obs::Counter::kReturnTasks);
+    row.remote_messages = range_sum(w, obs::Counter::kRemoteMessages);
+    row.retransmits = range_sum(w, obs::Counter::kMsgRetransmit);
+    row.handoff_bytes = s.handoff_bytes;
+    row.handoff_full_bytes = s.handoff_full_bytes;
+    row.handoff_delta_bytes = s.handoff_delta_bytes;
+    if (w < relay.size()) {
+      row.relayed_frames = relay[w].frames;
+      row.relayed_bytes = relay[w].bytes;
+    }
+    row.telemetry_msgs = tele_[w].telemetry_msgs;
+    row.telemetry_dropped = tele_[w].ring_dropped + tele_[w].events_omitted;
+    for (const auto& [key, field] : obs::kWorkerKeys)
+      append_kv(out, key, row.*field);
     append_kv(out, "clock_offset_us", clock_[w].offset_us());
     append_kv(out, "clock_rtt_us", clock_[w].rtt_us(), false);
     out += '}';

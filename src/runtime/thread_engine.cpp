@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <shared_mutex>
 
-#include "net/socket_transport.h"
 #include "net/wire.h"
 #include "obs/trace.h"
 
@@ -46,7 +45,6 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
       g_(g),
       marker_(std::make_unique<Marker>(g_, *this)),
       net_(net),
-      typed_(!net.enabled() && net.transport == TransportKind::kInProc),
       locks_(4096),
       reg_(g.num_pes()),
       t0_(std::chrono::steady_clock::now()),
@@ -60,21 +58,14 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   // Restructuring must not run from inside a task execution (the completing
   // task holds its vertex lock); the PE loops pick it up lock-free.
   controller_->set_deferred_restructure(true);
-  if (net_.transport == TransportKind::kInProc) {
-    transport_ = std::make_unique<InProcTransport>(g_.num_pes());
-  } else {
-    // Loopback cluster: every cross-PE message takes the full socket wire
-    // path (frame encode → kernel → hub relay → kernel → frame decode).
-    std::string addr = net_.transport_addr;
-    if (addr.empty() && net_.transport == TransportKind::kTcp)
-      addr = "tcp:127.0.0.1:0";
-    auto st = std::make_unique<SocketTransport>(g_.num_pes(), addr);
-    DGR_CHECK_MSG(st->ok(), "socket transport failed to come up");
-    transport_ = std::move(st);
+  // One inbox per PE: a run queue on the typed plane, a mailbox on the
+  // channel plane.
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
+    if (net_.enabled())
+      mail_.push_back(std::make_unique<Mailbox>());
+    else
+      runq_.push_back(std::make_unique<LocalRun>());
   }
-  runq_.reserve(g_.num_pes());
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
-    runq_.push_back(std::make_unique<LocalRun>());
   counts_ = std::make_unique<TaskCounts[]>(g_.num_pes() + 1u);
   out_.resize(g_.num_pes());
   for (auto& row : out_) row.resize(g_.num_pes());
@@ -90,8 +81,8 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   if (net_.enabled()) {
     fault_ = std::make_unique<FaultPlane>(
         g_.num_pes(), net_.faults,
-        [this](PeId src, PeId dst, FaultPlane::Bytes msg) {
-          transport_->send(src, dst, std::move(msg));
+        [this](PeId, PeId dst, FaultPlane::Bytes msg) {
+          mail_[dst]->deliver(std::move(msg));
         });
     fault_->set_inject_hook(
         [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
@@ -162,9 +153,12 @@ void ThreadEngine::start() {
 
 void ThreadEngine::stop() {
   if (!running_.exchange(false)) return;
-  // Wake every parked PE: on the typed plane they wait on their run queues.
-  transport_->close();
-  for (auto& r : runq_) r->q.close();
+  // Wake every PE parked on its inbox.
+  if (chan_) {
+    for (auto& m : mail_) m->close();
+  } else {
+    for (auto& r : runq_) r->q.close();
+  }
   for (auto& t : threads_) t.join();
   threads_.clear();
   if (wd_thread_.joinable()) wd_thread_.join();
@@ -217,10 +211,12 @@ void ThreadEngine::spawn(Task t) {
   }
   if (src != dst) maybe_backpressure(src, dst);
   if (chan_) {
-    chan_->send(src, dst, encode_counted(src, t), now_us());
+    Mailbox::Bytes bytes = encode_task(t);
+    reg_.add(src, obs::Counter::kBytesSent, bytes.size());
+    chan_->send(src, dst, std::move(bytes), now_us());
     return;
   }
-  // Channel-free. Cross-PE spawns from a PE thread stage into the per-pair
+  // Typed plane. Cross-PE spawns from a PE thread stage into the per-pair
   // row; external threads deliver directly — staging rows are single-writer
   // by construction.
   if (net_.batch_bytes > 0 && self >= 0) {
@@ -231,17 +227,7 @@ void ThreadEngine::spawn(Task t) {
       flush_pair_fast(src, dst);
     return;
   }
-  if (typed_) {
-    runq_[dst]->q.push(t);
-    return;
-  }
-  transport_->send(src, dst, encode_counted(src, t));
-}
-
-Mailbox::Bytes ThreadEngine::encode_counted(PeId src, const Task& t) {
-  Mailbox::Bytes bytes = encode_task(t);
-  reg_.add(src, obs::Counter::kBytesSent, bytes.size());
-  return bytes;
+  runq_[dst]->q.push(t);
 }
 
 void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
@@ -331,17 +317,8 @@ void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
                   static_cast<std::uint64_t>(count),
                   static_cast<std::uint64_t>(bytes));
   b.deadline_us = 0;
-  if (typed_) {
-    // One queue lock for the whole row; the row keeps its capacity.
-    runq_[dst]->q.push_all(b.tasks);
-    return;
-  }
-  // A socket transport needs bytes: encode here, at flush time.
-  std::vector<Mailbox::Bytes> msgs;
-  msgs.reserve(count);
-  for (const Task& t : b.tasks) msgs.push_back(encode_counted(src, t));
-  b.tasks.clear();
-  transport_->send_batch(src, dst, std::move(msgs));
+  // One queue lock for the whole row; the row keeps its capacity.
+  runq_[dst]->q.push_all(b.tasks);
 }
 
 void ThreadEngine::flush_outgoing(PeId pe, bool force) {
@@ -370,8 +347,7 @@ void ThreadEngine::pe_loop(PeId pe) {
   tl_engine = this;
   tl_pe = static_cast<int>(pe);
   std::uint64_t frames = 0;  // for periodic timer service while busy
-  std::vector<Mailbox::Bytes> buf;  // reused drain buffer (byte plane)
-  std::vector<Task> tasks;          // reused run-queue burst
+  Burst burst;               // reused across passes
   const std::size_t drain_max = net_.drain_max ? net_.drain_max : 1;
   while (running_.load(std::memory_order_relaxed)) {
     // Whatever the last pass (tasks, a restructure, a steal) spawned for
@@ -395,14 +371,10 @@ void ThreadEngine::pe_loop(PeId pe) {
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
-    // A burst of the run queue, then (off the typed plane) a batch drain of
-    // the mailbox: up to drain_max of each per pass (the bounded budget
-    // keeps pause/restructure latency and flush staleness in check).
-    tasks.clear();
-    std::size_t local = runq_[pe]->q.pop_up_to(drain_max, tasks);
-    buf.clear();
-    std::size_t n = typed_ ? 0 : transport_->drain(pe, drain_max, buf);
-    if (n == 0 && local == 0) {
+    // A burst of the inbox: up to drain_max entries per pass (the bounded
+    // budget keeps pause/restructure latency and flush staleness in check).
+    std::size_t n = take(pe, drain_max, burst);
+    if (n == 0) {
       // Idle: staged batches flush now (latency floor for stragglers), and
       // idle is when retransmit timers matter — a dropped frame leaves the
       // mailbox empty until this PE re-sends it.
@@ -414,35 +386,26 @@ void ThreadEngine::pe_loop(PeId pe) {
       // Balance the survivors: an idle PE takes half of the deepest peer
       // backlog instead of parking — on a congested pair this turns the
       // ping-pong idle time into useful marking work.
-      if (net_.steal && try_steal(pe, buf, tasks)) continue;
+      if (net_.steal && try_steal(pe, burst)) continue;
       // Nothing to run and nothing to steal: park on the inbox condvar
       // (bounded, so pause/steal/timer polls still happen) rather than
       // yield-spinning. A polling idler on a shared core competes with the
       // busy PEs for the timeslice that would drain the very backlog it is
-      // polling for. Every wake-up source pushes into the inbox: the run
-      // queue on the typed plane (peers' flushes, external spawns); off it
-      // the mailbox, since only this thread fills its run queue there.
+      // polling for. Every wake-up source pushes into the inbox: peers'
+      // flushes and external spawns, or the fault plane's deliveries.
       if (net_.idle_wait_us == 0)
         std::this_thread::yield();
-      else if (typed_)
-        local = runq_[pe]->q.pop_up_to_wait(
-            drain_max, tasks, std::chrono::microseconds(net_.idle_wait_us));
       else
-        n = transport_->drain_wait(pe, drain_max, buf, net_.idle_wait_us);
-      if (n == 0 && local == 0) continue;
+        n = take(pe, drain_max, burst, net_.idle_wait_us);
+      if (n == 0) continue;
     }
     // Sampled backlog at service time, once per pass: what this pass serves
-    // plus what still waits in the run queue and (off the typed plane) the
-    // mailbox. The per-PE hist lock is uncontended: only this thread
-    // observes its slot.
-    if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0) {
-      const std::size_t waiting =
-          runq_[pe]->q.size() + (typed_ ? 0 : transport_->pending(pe));
+    // plus what still waits in the inbox. The per-PE hist lock is
+    // uncontended: only this thread observes its slot.
+    if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
       reg_.observe(pe, obs::Hist::kMarkQueueDepth,
-                   static_cast<double>(local + n + waiting));
-    }
-    run_tasks(pe, tasks);
-    run_messages(pe, pe, buf);
+                   static_cast<double>(n + inbox_depth(pe)));
+    run(pe, pe, burst);
     if (chan_ && (frames += n) >= 64) {
       frames = 0;
       chan_->service(pe, now_us());
@@ -455,25 +418,29 @@ void ThreadEngine::pe_loop(PeId pe) {
   tl_engine = nullptr;
 }
 
-void ThreadEngine::run_tasks(PeId pe, const std::vector<Task>& tasks) {
-  for (const Task& t : tasks) {
+std::size_t ThreadEngine::take(PeId from, std::size_t max_n, Burst& b,
+                               std::uint32_t wait_us) {
+  b.tasks.clear();
+  b.frames.clear();
+  if (chan_) {
+    Mailbox& m = *mail_[from];
+    return wait_us ? m.drain_wait(max_n, b.frames, wait_us)
+                   : m.drain(max_n, b.frames);
+  }
+  auto& q = runq_[from]->q;
+  return wait_us ? q.pop_up_to_wait(max_n, b.tasks,
+                                    std::chrono::microseconds(wait_us))
+                 : q.pop_up_to(max_n, b.tasks);
+}
+
+void ThreadEngine::run(PeId pe, PeId from, const Burst& b) {
+  for (const Task& t : b.tasks) {
     execute(pe, t);
     retire(pe);
   }
-}
-
-void ThreadEngine::run_messages(PeId pe, PeId inbox,
-                                const std::vector<Mailbox::Bytes>& msgs) {
-  if (!chan_) {
-    for (const auto& msg : msgs) {
-      execute(pe, decode_task(msg));
-      retire(pe);
-    }
-    return;
-  }
-  for (const auto& msg : msgs) {
+  for (const auto& frame : b.frames) {
     // Raw frame → channel → zero or more exactly-once in-order payloads.
-    for (auto& payload : chan_->on_frame(inbox, msg, now_us())) {
+    for (auto& payload : chan_->on_frame(from, frame, now_us())) {
       const std::optional<Task> t = try_decode_task(payload);
       if (t) {
         execute(pe, *t);
@@ -488,35 +455,22 @@ void ThreadEngine::run_messages(PeId pe, PeId inbox,
   }
 }
 
-bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
-                             std::vector<Task>& tasks) {
+bool ThreadEngine::try_steal(PeId pe, Burst& b) {
   PeId victim = pe;
   std::size_t deepest = 0;
-  bool from_runq = false;
   for (PeId v = 0; v < g_.num_pes(); ++v) {
     if (v == pe) continue;
-    const std::size_t queued = runq_[v]->q.size();
-    if (queued > deepest) {
-      deepest = queued;
-      victim = v;
-      from_runq = true;
-    }
-    const std::size_t backlog = typed_ ? 0 : transport_->pending(v);
+    const std::size_t backlog = inbox_depth(v);
     if (backlog > deepest) {
       deepest = backlog;
       victim = v;
-      from_runq = false;
     }
   }
   if (deepest < net_.steal_min) return false;
   const std::size_t want = std::max<std::size_t>(
       std::min<std::size_t>(deepest / 2, net_.drain_max ? net_.drain_max : 1),
       1);
-  tasks.clear();
-  buf.clear();
-  const std::size_t n = from_runq
-                            ? runq_[victim]->q.pop_up_to(want, tasks)
-                            : transport_->drain(victim, want, buf);
+  const std::size_t n = take(victim, want, b);
   if (n == 0) return false;
   reg_.add(pe, obs::Counter::kStealBatches);
   reg_.add(pe, obs::Counter::kStealTasks, n);
@@ -526,11 +480,7 @@ bool ThreadEngine::try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
   // planes serialize internally — a stolen frame still runs through
   // on_frame(victim, ...) so the (src → victim) receiver state stays
   // exactly-once regardless of which thread processes it.
-  if (from_runq) {
-    run_tasks(pe, tasks);
-  } else {
-    run_messages(pe, victim, buf);
-  }
+  run(pe, victim, b);
   // Children spawned by the stolen tasks staged into this thief's rows;
   // push the ripe ones out before the next poll.
   flush_outgoing(pe, /*force=*/false);
@@ -733,12 +683,14 @@ ThreadEngineStats ThreadEngine::stats() const {
   s.steal_tasks = reg_.total(obs::Counter::kStealTasks);
   s.edge_cut = reg_.total(obs::Counter::kEdgeCut);
   s.edges_total = reg_.total(obs::Counter::kEdgesTotal);
-  if (typed_) {
+  if (chan_) {
+    for (const auto& m : mail_)
+      s.mailbox_high_water =
+          std::max<std::uint64_t>(s.mailbox_high_water, m->high_water());
+  } else {
     for (const auto& r : runq_)
       s.mailbox_high_water =
           std::max<std::uint64_t>(s.mailbox_high_water, r->q.high_water());
-  } else {
-    s.mailbox_high_water = transport_->high_water();
   }
   return s;
 }

@@ -14,16 +14,17 @@
 // half on mixed-priority graphs; the marks and priorities reached are the
 // same under any order.
 //
-// What a message is depends on the plane, fixed at construction:
-//   - the typed plane (no faults, no forced channel, in-process transport):
-//     every marking task moves as a copied Task value, and each PE's local
-//     run queue is its only inbox. Cross-PE spawns are staged per directed
-//     pair and flushed into the destination's run queue; nothing is encoded.
-//   - the byte plane (a socket transport, or the fault/channel layers):
-//     cross-PE tasks are encoded (net/wire.h) and cross the Transport, as
-//     they must when the wire is real or faulted. A PE's tasks for its own
-//     vertices still stay typed values in its run queue unless the channel
-//     is active, which carries every task.
+// What a message is depends on the plane, fixed at construction, and each PE
+// has exactly one inbox on either:
+//   - the typed plane (the default: no faults, no forced channel): every
+//     marking task moves as a copied Task value, and each PE's run queue is
+//     its inbox. Cross-PE spawns are staged per directed pair and flushed
+//     into the destination's run queue; nothing is encoded.
+//   - the channel plane (NetOptions::enabled(): faults or force_reliable):
+//     every marking task, local or remote, is encoded (net/wire.h) and sent
+//     through a ChannelManager over a FaultPlane, which delivers frames into
+//     the destination PE's Mailbox. The PE feeds them back through the
+//     channel and executes the exactly-once payload stream.
 // The per-task counters (quiescence counts, marker stats, registry counters)
 // live on per-PE cache lines on both planes.
 //
@@ -43,7 +44,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -52,8 +52,8 @@
 #include "core/cooperation.h"
 #include "core/marker.h"
 #include "net/fault_plane.h"
+#include "net/mailbox.h"
 #include "net/reliable_channel.h"
-#include "net/transport.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
@@ -68,35 +68,23 @@ class VertexLocks;
 // force_reliable), every marking message is encoded and crosses a
 // FaultPlane wrapped in a ChannelManager: the engine sees exactly-once
 // in-order delivery while the wire drops, duplicates, reorders and truncates
-// under it. With the default (no faults, in-process transport) the engine
-// runs the typed plane: every marking task moves as a Task value into the
-// destination PE's run queue, and nothing is encoded. A socket transport
-// without faults encodes cross-PE tasks only, at flush time.
+// under it. With the default (no faults) the engine runs the typed plane:
+// every marking task moves as a Task value into the destination PE's run
+// queue, and nothing is encoded.
 //
 // Batching (on by default): cross-PE spawns coalesce per directed PE pair —
-// without the channel into per-pair rows of Tasks, flushed as one push into
-// the destination's run queue (typed plane) or one encoded send_batch
-// (socket transport); with the channel into multi-payload frames (the same
-// knobs are forwarded to ReliableOptions). A row's size is its task count
-// times kTaskWireBytes. A batch flushes when it reaches batch_bytes, ages
-// past batch_flush_us, or its owning PE goes idle or parks; receivers take
-// up to drain_max tasks (or messages) per loop pass under one queue lock.
-// batch_bytes == 0 restores one delivery per task (the --no-batch leg).
-
-// Which Transport carries cross-PE messages (net/transport.h). kInProc is
-// the historical shared-memory mailbox plane; kUds/kTcp route every cross-PE
-// message through real kernel sockets (net/socket_transport.h) — same
-// engine, same fault/channel layering, loopback-cluster wire path.
-enum class TransportKind : std::uint8_t { kInProc = 0, kUds, kTcp };
-
+// on the typed plane into per-pair rows of Tasks, flushed as one push into
+// the destination's run queue; on the channel plane into multi-payload
+// frames (the same knobs are forwarded to ReliableOptions). A row's size is
+// its task count times kTaskWireBytes. A batch flushes when it reaches
+// batch_bytes, ages past batch_flush_us, or its owning PE goes idle or
+// parks; receivers take up to drain_max tasks (or frames) per loop pass
+// under one queue lock. batch_bytes == 0 restores one delivery per task (the
+// --no-batch leg).
 struct NetOptions {
   FaultPlaneOptions faults;
   ReliableOptions reliable;
   bool force_reliable = false;  // channel layer even with a zero schedule
-  TransportKind transport = TransportKind::kInProc;
-  // Hub address for socket transports ("uds:PATH" / "tcp:HOST:PORT");
-  // empty picks a fresh /tmp socket (uds) or an ephemeral port (tcp).
-  std::string transport_addr;
   std::uint32_t batch_bytes = 4096;    // size cap per staged pair (0 = off)
   std::uint32_t batch_flush_us = 100;  // age cap on a staged batch
   std::uint32_t drain_max = 64;        // receiver: messages per drain pass
@@ -111,7 +99,7 @@ struct NetOptions {
   // load-bearing: the spawner may hold vertex-stripe locks (globally shared
   // hash stripes) that the congested receiver needs to make progress. The
   // backlog is the destination's run queue on the typed plane (it also holds
-  // that PE's own work), its transport mailbox otherwise.
+  // that PE's own work), its channel mailbox otherwise.
   std::uint64_t backpressure_limit = 1 << 15;  // 0 disables the check
   std::uint32_t backpressure_spins = 64;
   // Boundary summaries: per-(destination PE, plane) tables recording the
@@ -147,7 +135,7 @@ struct ThreadEngineStats {
   std::uint64_t local_messages = 0;
   std::uint64_t bytes_sent = 0;          // encoded bytes (0 on the typed plane)
   // Deepest inbox backlog seen: the run queues' on the typed plane, the
-  // transport's otherwise.
+  // channel mailboxes' otherwise.
   std::uint64_t mailbox_high_water = 0;
   std::uint64_t msg_batched = 0;         // messages sent inside a batch
   std::uint64_t batch_flushes = 0;       // batches flushed
@@ -240,11 +228,9 @@ class ThreadEngine final : public TaskSink, public PoolSet {
                   const std::function<void()>& fn);
 
   ThreadEngineStats stats() const;
-  // Null unless NetOptions::enabled() at construction.
+  // Null unless NetOptions::enabled() at construction (the channel plane).
   const FaultPlane* fault_plane() const { return fault_.get(); }
   const ChannelManager* channels() const { return chan_.get(); }
-  // The message plane underneath everything (never null).
-  const Transport& transport() const { return *transport_; }
   // Per-PE counters and histograms.
   obs::MetricsRegistry& metrics_registry() { return reg_; }
   const obs::MetricsRegistry& metrics_registry() const { return reg_; }
@@ -263,25 +249,35 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // This engine's PE id for the calling thread; -1 for any thread that is
   // not one of this engine's PE threads.
   int self_pe() const;
-  // Execute typed tasks / drained transport messages on PE thread `pe`,
-  // retiring each. `inbox` is the PE whose mailbox `msgs` came from (the
-  // channel's receiver state is per inbox, whichever thread drains it).
-  void run_tasks(PeId pe, const std::vector<Task>& tasks);
-  void run_messages(PeId pe, PeId inbox,
-                    const std::vector<Mailbox::Bytes>& msgs);
+  // One pass's worth of a PE's inbox: run-queue tasks on the typed plane,
+  // raw frames on the channel plane (the other vector stays empty).
+  struct Burst {
+    std::vector<Task> tasks;
+    std::vector<Mailbox::Bytes> frames;
+  };
+  // Pop up to max_n entries from PE `from`'s inbox into `b` (cleared first),
+  // parking up to wait_us on its condvar while it is empty (0 = no parking).
+  std::size_t take(PeId from, std::size_t max_n, Burst& b,
+                   std::uint32_t wait_us = 0);
+  // Execute `b` on PE thread `pe`, retiring each task. `from` is the PE whose
+  // inbox `b` came from (the channel's receiver state is per inbox, whichever
+  // thread drains it).
+  void run(PeId pe, PeId from, const Burst& b);
   // Quiescence accounting (see counts_); `self` is the caller's self_pe().
   void count_spawn(int self);
   void retire(PeId pe);
-  // Tasks waiting in PE `pe`'s inbox: its run queue on the typed plane, its
-  // transport mailbox otherwise (backpressure and the watchdog read this).
+  // Entries waiting in PE `pe`'s inbox: tasks in its run queue on the typed
+  // plane, frames in its mailbox otherwise (backpressure, stealing and the
+  // watchdog read this).
   std::size_t inbox_depth(PeId pe) const {
-    return typed_ ? runq_[pe]->q.size() : transport_->pending(pe);
+    return chan_ ? mail_[pe]->pending() : runq_[pe]->q.size();
   }
-  // Encode `t` for the byte plane, charging bytes_sent to `src`.
-  Mailbox::Bytes encode_counted(PeId src, const Task& t);
-  // Move PE `pe`'s staged local spawns into its run queue (owner only).
-  void publish_local(PeId pe) { runq_[pe]->q.push_all(runq_[pe]->staged); }
-  // Channel-free batching: flush every staged pair whose sender is `pe`
+  // Move PE `pe`'s staged local spawns into its run queue (owner only; the
+  // channel plane stages nothing).
+  void publish_local(PeId pe) {
+    if (!chan_) runq_[pe]->q.push_all(runq_[pe]->staged);
+  }
+  // Typed-plane batching: flush every staged pair whose sender is `pe`
   // (force) or only the size/age-ripe ones. PE-thread-local: row `pe` of
   // out_ is touched exclusively by its owning thread.
   void flush_outgoing(PeId pe, bool force);
@@ -290,11 +286,9 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // thread `src` calls this for its own row, so the arming bytes need no
   // synchronization.
   void maybe_backpressure(PeId src, PeId dst);
-  // Idle-path stealing: take up to half of the deepest peer backlog (run
-  // queue into `tasks`, or, off the typed plane, mailbox into `buf`) and
-  // execute it here. Returns true if work was taken.
-  bool try_steal(PeId pe, std::vector<Mailbox::Bytes>& buf,
-                 std::vector<Task>& tasks);
+  // Idle-path stealing: take up to half of the deepest peer inbox into `b`
+  // and execute it here. Returns true if work was taken.
+  bool try_steal(PeId pe, Burst& b);
   // Walk the graph once and charge edge_cut / edges_total per owning PE
   // (called from start(), before any thread runs).
   void count_edge_cut();
@@ -318,31 +312,26 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   std::unique_ptr<Mutator> mutator_;
   std::unique_ptr<Controller> controller_;
 
-  // Message plane: options, and whether this engine runs the typed plane
-  // (no faults, no forced channel, in-process transport; see the header).
   NetOptions net_;
-  const bool typed_;
-  // Cross-PE byte plane: InProcTransport (mailboxes) by default, a
-  // SocketTransport when NetOptions::transport selects uds/tcp. The typed
-  // plane never sends on it.
-  std::unique_ptr<Transport> transport_;
-  // Local run queues, one per PE (channel-free planes): marking tasks for
-  // this PE, as values. The owner stages its own spawns in `staged` (no
-  // lock) and publishes them to `q` once per loop pass, so the queue lock is
-  // taken per burst, not per task; on the typed plane peers' flushes and
-  // external spawns push into `q` too, making it the PE's only inbox. `q` is
-  // popped by the owner and by idle thieves, both in mark_order (returns,
-  // then vital, eager and reserve marks; see core/task.h), so a vertex is
-  // mostly reached at its final priority first and mark2 seldom re-marks it.
+  // The typed plane's inboxes (empty on the channel plane), one per PE:
+  // marking tasks for this PE, as values. The owner stages its own spawns in
+  // `staged` (no lock) and publishes them to `q` once per loop pass, so the
+  // queue lock is taken per burst, not per task; peers' flushes and external
+  // spawns push into `q` too. `q` is popped by the owner and by idle
+  // thieves, both in mark_order (returns, then vital, eager and reserve
+  // marks; see core/task.h), so a vertex is mostly reached at its final
+  // priority first and mark2 seldom re-marks it.
   struct LocalRun {
     MpmcQueue<Task, kMarkOrders, &mark_order> q;
     std::vector<Task> staged;  // owning PE thread only
   };
   std::vector<std::unique_ptr<LocalRun>> runq_;
-  // Sender staging (channel-free planes; the channel batches on its own when
-  // active). out_[src][dst] holds cross-PE marking tasks awaiting one flush:
-  // a push into dst's run queue (typed plane) or an encoded send_batch. No
-  // locks: row src belongs to PE thread src alone; external
+  // The channel plane's inboxes (empty on the typed plane), one per PE: the
+  // frames the FaultPlane delivered toward it.
+  std::vector<std::unique_ptr<Mailbox>> mail_;
+  // Sender staging (typed plane; the channel batches on its own).
+  // out_[src][dst] holds cross-PE marking tasks awaiting one push into dst's
+  // run queue. No locks: row src belongs to PE thread src alone; external
   // (self_pe() == -1) spawns bypass staging.
   struct OutBatch {
     std::vector<Task> tasks;
@@ -363,7 +352,7 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   };
   std::vector<std::unique_ptr<BoundaryShard>> summary_;
   // Fault/channel layers (null unless NetOptions::enabled()). Frames flow
-  // spawn → chan_ → fault_ → transport_; pe_loop feeds raw frames back
+  // spawn → chan_ → fault_ → mail_; pe_loop feeds raw frames back
   // through chan_->on_frame and executes the exactly-once payload stream.
   std::unique_ptr<FaultPlane> fault_;
   std::unique_ptr<ChannelManager> chan_;
@@ -376,10 +365,10 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // Counting quiescence (after Plyukhin & Agha's per-actor send/receive
   // counts): one cache line per PE thread, plus row num_pes for external
   // threads. A spawning thread bumps its row's `spawned` before the task is
-  // published (run-queue push, mailbox delivery or channel send); the
-  // executing PE bumps its row's `retired`, with release order, after
-  // execute() returns (or after dropping an undecodable payload). Only the
-  // owning thread writes a PE row, so no per-task write is shared.
+  // published (run-queue push or channel send); the executing PE bumps its
+  // row's `retired`, with release order, after execute() returns (or after
+  // dropping an undecodable payload). Only the owning thread writes a PE
+  // row, so no per-task write is shared.
   //
   // wait_quiescent() reads every `retired` (acquire), then every `spawned`,
   // and returns when the sums are equal. Why equality proves that nothing

@@ -579,8 +579,8 @@ TEST(ThreadEngineTypedPlane, CrossPeTasksMoveAsBatchedValues) {
   EXPECT_GT(st.remote_messages, 0u);
   EXPECT_GT(st.msg_batched, 0u);
   EXPECT_EQ(st.bytes_sent, 0u);
+  EXPECT_EQ(eng.channels(), nullptr);
   EXPECT_GT(st.mailbox_high_water, 0u);  // run-queue high-water
-  EXPECT_EQ(eng.transport().stats().frames_sent, 0u);
   for (VertexId v : b.vertices) {
     if (g.is_free(v)) continue;
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
@@ -618,7 +618,8 @@ TEST(ThreadEngineTypedPlane, WatchdogSeesARunQueueBacklog) {
   }
   eng.stop();
   EXPECT_GE(saturated(), 1u);
-  EXPECT_EQ(eng.transport().stats().frames_sent, 0u);
+  EXPECT_EQ(eng.channels(), nullptr);
+  EXPECT_EQ(eng.stats().bytes_sent, 0u);
 }
 
 TEST(ThreadEngine, NoAuxRootIsMintedAfterStart) {

@@ -1,7 +1,6 @@
-// Socket-transport tests (docs/CLUSTER.md): the frame codec under
-// adversarial segmentation and the hub's registration/reconnect discipline,
-// exercised without an engine; then one ThreadEngine cycle over uds and tcp,
-// the only users of the unfaulted encoded byte plane.
+// Socket tests (docs/CLUSTER.md): the frame codec under adversarial
+// segmentation and the hub's registration, reconnect and relay discipline,
+// exercised without an engine.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,15 +10,12 @@
 #include <thread>
 #include <vector>
 
-#include "graph/builder.h"
-#include "graph/oracle.h"
+#include <unistd.h>
+
 #include "net/frame.h"
 #include "net/proto.h"
 #include "net/socket.h"
 #include "net/socket_hub.h"
-#include "net/socket_transport.h"
-#include "net/transport.h"
-#include "runtime/thread_engine.h"
 
 namespace dgr {
 namespace {
@@ -155,12 +151,36 @@ TEST(FrameCodec, WrongVersionIsError) {
 
 // ---- SocketHub: registration handshake, rejection, loss, reconnect. ----
 
+// Reads frames off one socket through one FrameCodec, so bytes of the next
+// frame that arrive in the same read() are kept for the next call.
+class FrameReader {
+ public:
+  explicit FrameReader(Socket& s) : s_(s) {}
+
+  // Blockingly read one frame (zeroed kData frame on EOF or codec error).
+  NetFrame next() {
+    std::uint8_t buf[4096];
+    NetFrame f;
+    while (!c_.next(f)) {
+      const long n = s_.read_some(buf, sizeof(buf));
+      if (n <= 0 || c_.error()) return NetFrame{};
+      c_.feed(buf, static_cast<std::size_t>(n));
+    }
+    return f;
+  }
+
+ private:
+  Socket& s_;
+  FrameCodec c_;
+};
+
 class HubRig {
  public:
-  explicit HubRig(std::uint32_t num_workers = 2, std::uint32_t pes_per = 2) {
+  explicit HubRig(std::uint32_t num_workers = 2, std::uint32_t pes_per = 2,
+                  const std::string& address = "tcp:127.0.0.1:0") {
     hub_.set_control_handler([](std::uint32_t, NetFrame) {});
     SocketAddr addr;
-    EXPECT_TRUE(SocketAddr::parse("tcp:127.0.0.1:0", addr));
+    EXPECT_TRUE(SocketAddr::parse(address, addr));
     const bool up =
         hub_.listen(addr, [num_workers, pes_per](const RegisterMsg& reg) {
           SocketHub::Decision d;
@@ -203,18 +223,9 @@ class HubRig {
     return read_frame(s);
   }
 
-  // Blockingly read one frame (zeroed kData frame on EOF).
-  static NetFrame read_frame(Socket& s) {
-    FrameCodec c;
-    std::uint8_t buf[4096];
-    NetFrame f;
-    while (!c.next(f)) {
-      const long n = s.read_some(buf, sizeof(buf));
-      if (n <= 0 || c.error()) return NetFrame{};
-      c.feed(buf, static_cast<std::size_t>(n));
-    }
-    return f;
-  }
+  // Read one frame with a fresh codec: only for replies that are the sole
+  // frame in flight on `s`.
+  static NetFrame read_frame(Socket& s) { return FrameReader(s).next(); }
 
  private:
   SocketHub hub_;
@@ -326,24 +337,54 @@ TEST(SocketHub, WorkerLostCallbackFires) {
 }
 
 TEST(SocketHub, DataFramesRelayToEndpointOwner) {
-  // Worker 0 owns PEs {0,1}, worker 1 owns {2,3}. A kData frame sent by
-  // worker 0 toward PE 3 must come back out of worker 1's socket.
-  HubRig rig;
-  Socket w0 = rig.connect();
-  Socket w1 = rig.connect();
-  ASSERT_TRUE(w0.valid());
-  ASSERT_TRUE(w1.valid());
-  ASSERT_EQ(HubRig::do_register(w0, 0).type, FrameType::kRegisterAck);
-  ASSERT_EQ(HubRig::do_register(w1, 1).type, FrameType::kRegisterAck);
+  // Worker w owns PEs {2w, 2w+1}. A kData frame sent by worker 0 toward PE 3
+  // must come back out of worker 1's socket; frames that workers 0 and 1
+  // interleave toward PE 4 come out of worker 2's socket in per-sender order.
+  const std::string uds =
+      "uds:/tmp/dgr-test-hub-" + std::to_string(::getpid()) + ".sock";
+  for (const std::string& address : {std::string("tcp:127.0.0.1:0"), uds}) {
+    SCOPED_TRACE(address);
+    HubRig rig(/*num_workers=*/3, /*pes_per=*/2, address);
+    Socket w[3];
+    for (std::uint32_t i = 0; i < 3; ++i) {
+      w[i] = rig.connect();
+      ASSERT_TRUE(w[i].valid());
+      ASSERT_EQ(HubRig::do_register(w[i], i).type, FrameType::kRegisterAck);
+    }
 
-  const NetFrame out = data_frame(1, 3, {0xde, 0xad});
-  const auto wire = encode_frame(out);
-  ASSERT_TRUE(w0.write_all(wire.data(), wire.size()));
-  const NetFrame in = HubRig::read_frame(w1);
-  EXPECT_EQ(in.type, FrameType::kData);
-  EXPECT_EQ(in.src, 1u);
-  EXPECT_EQ(in.dst, 3u);
-  EXPECT_EQ(in.payload, out.payload);
+    const NetFrame out = data_frame(1, 3, {0xde, 0xad});
+    const auto wire = encode_frame(out);
+    ASSERT_TRUE(w[0].write_all(wire.data(), wire.size()));
+    const NetFrame in = HubRig::read_frame(w[1]);
+    EXPECT_EQ(in.type, FrameType::kData);
+    EXPECT_EQ(in.src, 1u);
+    EXPECT_EQ(in.dst, 3u);
+    EXPECT_EQ(in.payload, out.payload);
+
+    // Per-pair FIFO through the relay: payload = {sender, sequence number}.
+    constexpr std::uint8_t kPerSender = 60;
+    for (std::uint8_t i = 0; i < kPerSender; ++i) {
+      for (std::uint8_t sender = 0; sender < 2; ++sender) {
+        const auto f = encode_frame(data_frame(sender * 2u, 4, {sender, i}));
+        ASSERT_TRUE(w[sender].write_all(f.data(), f.size()));
+      }
+    }
+    FrameReader reader(w[2]);
+    std::uint8_t next_seq[2] = {0, 0};
+    for (int k = 0; k < 2 * kPerSender; ++k) {
+      const NetFrame f = reader.next();
+      ASSERT_EQ(f.type, FrameType::kData);
+      ASSERT_EQ(f.dst, 4u);
+      ASSERT_EQ(f.payload.size(), 2u);
+      const std::uint8_t sender = f.payload[0];
+      ASSERT_LT(sender, 2u);
+      EXPECT_EQ(f.src, sender * 2u);
+      EXPECT_EQ(f.payload[1], next_seq[sender]) << "sender " << int(sender);
+      next_seq[sender] = static_cast<std::uint8_t>(f.payload[1] + 1);
+    }
+    EXPECT_EQ(next_seq[0], kPerSender);
+    EXPECT_EQ(next_seq[1], kPerSender);
+  }
 }
 
 // ---- Membership plumbing: forced drops, slot reclaim, ownership remap. ----
@@ -479,95 +520,6 @@ TEST(SocketHub, FencedSlotRejectsReRegistration) {
   ASSERT_TRUE(other.valid());
   EXPECT_EQ(HubRig::do_register(other, 0).type, FrameType::kRegisterAck);
 }
-
-// ---- SocketTransport: the Transport contract over real sockets. ----
-
-class SocketTransportKinds
-    : public ::testing::TestWithParam<const char*> {};
-
-TEST_P(SocketTransportKinds, FifoPerPairAndBatch) {
-  SocketTransport t(4, GetParam());
-  ASSERT_TRUE(t.ok()) << t.error();
-  EXPECT_EQ(t.endpoints(), 4u);
-
-  for (std::uint8_t i = 0; i < 50; ++i) t.send(0, 2, {i});
-  std::vector<Transport::Bytes> batch;
-  for (std::uint8_t i = 50; i < 60; ++i) batch.push_back({i});
-  t.send_batch(1, 2, std::move(batch));
-
-  std::vector<Transport::Bytes> got;
-  while (got.size() < 60)
-    t.drain_wait(2, 64, got, /*timeout_us=*/1000);
-  // Per-pair FIFO: 0→2 bytes ascend, and so do 1→2's, independently.
-  std::uint8_t last_a = 0, last_b = 49;
-  for (const auto& m : got) {
-    ASSERT_EQ(m.size(), 1u);
-    if (m[0] < 50) {
-      EXPECT_GE(m[0], last_a);
-      last_a = m[0];
-    } else {
-      EXPECT_GT(m[0], last_b);
-      last_b = m[0];
-    }
-  }
-  const TransportStats s = t.stats();
-  EXPECT_GE(s.frames_sent, 60u);
-  EXPECT_EQ(s.connects, 4u);
-  t.close();
-}
-
-INSTANTIATE_TEST_SUITE_P(Addrs, SocketTransportKinds,
-                         ::testing::Values("", "tcp:127.0.0.1:0"),
-                         [](const ::testing::TestParamInfo<const char*>& i) {
-                           return i.index == 0 ? "uds" : "tcp";
-                         });
-
-// ---- ThreadEngine over a socket transport: the remaining byte fast path.
-
-class ThreadEngineOverSockets
-    : public ::testing::TestWithParam<TransportKind> {};
-
-TEST_P(ThreadEngineOverSockets, CycleIsOracleExactAndEncodesBatches) {
-  // Without faults, cross-PE tasks are staged as values per pair and
-  // encoded only at flush time, one send_batch per row, over real sockets.
-  Graph g(3, 1500);
-  for (PeId pe = 0; pe < 3; ++pe) g.store(pe).set_fixed_capacity(true);
-  RandomGraphOptions opt;
-  opt.num_vertices = 3000;
-  opt.seed = 19;
-  opt.num_tasks = 24;
-  const BuiltGraph b = build_random_graph(g, opt);
-  Oracle o(g, b.root, b.tasks);
-  NetOptions net;
-  net.transport = GetParam();
-  ThreadEngine eng(g, net);
-  eng.set_root(b.root);
-  for (const TaskRef& t : b.tasks)
-    eng.inject(Task::request(t.s, t.d, ReqKind::kVital));
-  eng.start();
-  eng.controller().start_cycle();
-  eng.wait_cycle_done();
-  eng.stop();
-  const ThreadEngineStats st = eng.stats();
-  EXPECT_GT(st.remote_messages, 0u);
-  EXPECT_GT(st.bytes_sent, 0u);
-  EXPECT_GT(st.msg_batched, 0u);
-  EXPECT_GT(eng.transport().stats().frames_sent, 0u);
-  for (VertexId v : b.vertices) {
-    if (g.is_free(v)) continue;
-    EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
-    EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
-    EXPECT_EQ(eng.marker().is_marked(Plane::kT, v), o.in_T(v));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Kinds, ThreadEngineOverSockets,
-                         ::testing::Values(TransportKind::kUds,
-                                           TransportKind::kTcp),
-                         [](const ::testing::TestParamInfo<TransportKind>& i) {
-                           return i.param == TransportKind::kUds ? "uds"
-                                                                 : "tcp";
-                         });
 
 }  // namespace
 }  // namespace dgr
