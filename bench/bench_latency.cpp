@@ -13,9 +13,9 @@
 #include <thread>
 
 #include "bench/bench_common.h"
-#include "net/mailbox.h"
 #include "net/wire.h"
 #include "runtime/thread_engine.h"
+#include "util/mpmc_queue.h"
 
 namespace dgr::bench {
 namespace {
@@ -109,14 +109,13 @@ void BM_MarkCycleLatency(benchmark::State& state) {
 }
 BENCHMARK(BM_MarkCycleLatency)->Arg(0)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Cross-PE task throughput through the threaded engine's message-plane hot
-// path: a sender thread wire-encodes marking tasks and a receiver thread
-// decodes and consumes them, pumped through a real Mailbox exactly the way
-// the PE loops do it.
-//   arg 0 — the pre-batching plane: deliver() + receive(), one queue lock
-//           and one wake per message on each side;
-//   arg 1 — the batched plane: deliver_batch() of up-to-4-KiB batches +
-//           drain(64), one lock per batch per side.
+// Cross-PE message throughput over the MPMC queue the engine's run queues
+// are built on: a sender thread pushes wire-encoded marking tasks and a
+// receiver thread pops and consumes them.
+//   arg 0 — the pre-batching plane: push() + try_pop(), one queue lock and
+//           one wake per message on each side;
+//   arg 1 — the batched plane: push_all() of up-to-4-KiB batches +
+//           pop_up_to(64), one lock per batch per side.
 // Identical per-task encode/decode work on both legs, so the delta is pure
 // message-plane overhead. The committed baseline
 // (bench/baselines/BENCH_latency.json) records the acceptance ratio:
@@ -125,28 +124,29 @@ void BM_CrossPeTaskThroughput(benchmark::State& state) {
   const bool batched = state.range(0) != 0;
   constexpr std::size_t kTasksPerIter = 1 << 15;
   constexpr std::size_t kBatchBytes = 4096;
-  Mailbox mb;
+  using Bytes = std::vector<std::uint8_t>;
+  MpmcQueue<Bytes> q;
   std::atomic<std::uint64_t> consumed{0};
   std::atomic<bool> stop{false};
   std::uint64_t sink = 0;
   // One wire-encoded marking task, copied per send — the same
   // one-allocation-per-message cost the engine pays on both legs.
-  const Mailbox::Bytes wire =
+  const Bytes wire =
       encode_task(Task::mark(Plane::kR, VertexId{0, 1}, VertexId{1, 2}, 3));
   std::thread rx([&] {
-    std::vector<Mailbox::Bytes> buf;
+    std::vector<Bytes> buf;
     while (!stop.load(std::memory_order_acquire)) {
       if (batched) {
         buf.clear();
-        const std::size_t n = mb.drain(64, buf);
+        const std::size_t n = q.pop_up_to(64, buf);
         if (n == 0) {
           std::this_thread::yield();
           continue;
         }
-        for (const Mailbox::Bytes& m : buf) sink += m.size();
+        for (const Bytes& m : buf) sink += m.size();
         consumed.fetch_add(n, std::memory_order_release);
       } else {
-        std::optional<Mailbox::Bytes> m = mb.try_receive();
+        std::optional<Bytes> m = q.try_pop();
         if (!m.has_value()) {
           std::this_thread::yield();
           continue;
@@ -159,25 +159,24 @@ void BM_CrossPeTaskThroughput(benchmark::State& state) {
   std::uint64_t produced = 0;
   std::uint64_t batches = 0;
   for (auto _ : state) {
-    std::vector<Mailbox::Bytes> pending;
+    std::vector<Bytes> pending;
     std::size_t pending_bytes = 0;
     for (std::size_t i = 0; i < kTasksPerIter; ++i) {
-      Mailbox::Bytes bytes = wire;
+      Bytes bytes = wire;
       if (batched) {
         pending_bytes += bytes.size();
         pending.push_back(std::move(bytes));
         if (pending_bytes >= kBatchBytes) {
-          mb.deliver_batch(std::move(pending));
-          pending.clear();
+          q.push_all(pending);
           pending_bytes = 0;
           ++batches;
         }
       } else {
-        mb.deliver(std::move(bytes));
+        q.push(std::move(bytes));
       }
     }
     if (!pending.empty()) {
-      mb.deliver_batch(std::move(pending));
+      q.push_all(pending);
       ++batches;
     }
     produced += kTasksPerIter;
@@ -191,7 +190,7 @@ void BM_CrossPeTaskThroughput(benchmark::State& state) {
       static_cast<double>(produced), benchmark::Counter::kIsRate);
   state.counters["msg_batched"] = batched ? double(produced) : 0.0;
   state.counters["batch_flushes"] = double(batches);
-  state.counters["mailbox_high_water"] = double(mb.high_water());
+  state.counters["mailbox_high_water"] = double(q.high_water());
 }
 BENCHMARK(BM_CrossPeTaskThroughput)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -52,7 +52,7 @@
 //                    the caller's PE), chunk/greedy (one PE per
 //                    instantiation — the streaming greedy partitioner)
 //   --steal          threaded audit phase: idle PEs steal half of the
-//   --no-steal       deepest peer mailbox instead of parking (default on)
+//   --no-steal       deepest peer run queue instead of parking (default on)
 //   --workers N      run the audit phase on N real worker processes instead
 //                    of in-process threads: the controller stays here, forks
 //                    N dgr_worker processes, hands each its graph partition
@@ -674,9 +674,9 @@ int main(int argc, char** argv) {
                  teng.metrics_registry().to_json() + "\n");
     const int audit_rc = report_audit("audit", teng.audit_stats(),
                                       teng.health(), health_fatal);
-    if (const FaultPlane* fp = teng.fault_plane()) {
-      const FaultPlane::Stats fs = fp->stats();
-      const ChannelManager::Stats cs = teng.channels()->stats();
+    if (const TaskChannel* ch = teng.channel()) {
+      const FaultPlane::Stats fs = ch->fault_plane().stats();
+      const ChannelManager::Stats cs = ch->channels().stats();
       std::printf(
           "# faults: dropped=%llu dup=%llu reordered=%llu truncated=%llu | "
           "retransmits=%llu dup_suppressed=%llu delivered=%llu unacked=%llu\n",

@@ -37,7 +37,8 @@ void FaultPlane::inject(Pair& p, FaultKind k, PeId src, PeId dst,
 void FaultPlane::send(PeId src, PeId dst, Bytes msg) {
   Pair& p = pair(src, dst);
   // Collected under the pair lock, delivered after releasing it: deliver_
-  // may block (mailbox), and the pair lock must stay cheap.
+  // may block (a queue or socket write) or re-enter send() with an ack, and
+  // the pair lock must stay cheap.
   std::vector<Bytes> out;
   {
     std::lock_guard<std::mutex> lk(p.mu);

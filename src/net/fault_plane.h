@@ -2,8 +2,9 @@
 //
 // The paper's model (and the seed implementation) assumes tasks <s,d>
 // propagate over a perfectly reliable fabric. FaultPlane sits between a
-// sender and the destination (a ThreadEngine PE's Mailbox, or a dgr_worker's
-// socket) and applies a seeded, per-PE-pair fault schedule to every message:
+// sender and the destination (the receive side of a ThreadEngine's channel,
+// which decodes into the PE's run queue, or a dgr_worker's socket) and
+// applies a seeded, per-PE-pair fault schedule to every message:
 // drop, duplicate, reorder (hold the message back for a few subsequent sends
 // on the same pair), and truncate-bytes. Each directed pair draws from its
 // own Rng substream, so the decision sequence on a pair depends only on
@@ -69,9 +70,11 @@ struct FaultPlaneOptions {
 class FaultPlane {
  public:
   using Bytes = std::vector<std::uint8_t>;
-  // Downstream delivery toward the destination: a push into its ThreadEngine
-  // mailbox, or a socket frame from a dgr_worker (which stamps the source
-  // PE into the frame header).
+  // Downstream delivery toward the destination, called with no FaultPlane
+  // lock held: in ThreadEngine the channel's receive side, which decodes
+  // the released tasks into the destination PE's run queue (and may send,
+  // and so re-enter send(), an ack); in a dgr_worker a socket frame (which
+  // stamps the source PE into the frame header).
   using DeliverFn = std::function<void(PeId src, PeId dst, Bytes msg)>;
   // Observability hook, called while a fault is injected: kind, sending and
   // receiving PE, and the affected message's size in bytes.

@@ -21,29 +21,6 @@ std::uint32_t get_u32(const std::uint8_t* p) {
 
 }  // namespace
 
-const char* frame_type_name(FrameType t) {
-  switch (t) {
-    case FrameType::kData: return "data";
-    case FrameType::kSeed: return "seed";
-    case FrameType::kRegister: return "register";
-    case FrameType::kRegisterAck: return "register_ack";
-    case FrameType::kReject: return "reject";
-    case FrameType::kHandoff: return "handoff";
-    case FrameType::kPlaneBegin: return "plane_begin";
-    case FrameType::kRescueBegin: return "rescue_begin";
-    case FrameType::kQuiesce: return "quiesce";
-    case FrameType::kMarkReport: return "mark_report";
-    case FrameType::kPlaneDone: return "plane_done";
-    case FrameType::kShutdown: return "shutdown";
-    case FrameType::kTelemetry: return "telemetry";
-    case FrameType::kClockProbe: return "clock_probe";
-    case FrameType::kClockEcho: return "clock_echo";
-    case FrameType::kEpochFence: return "epoch_fence";
-    case FrameType::kHandoffAck: return "handoff_ack";
-  }
-  return "?";
-}
-
 std::vector<std::uint8_t> encode_frame(const NetFrame& f) {
   std::vector<std::uint8_t> b;
   b.reserve(kFrameHeaderSize + f.payload.size());

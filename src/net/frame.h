@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "graph/ids.h"
+#include "util/enum_table.h"
 
 namespace dgr {
 
@@ -35,29 +36,35 @@ inline constexpr std::size_t kFrameHeaderSize = 20;
 // chaos-harness scale is ~100 KiB, so 16 MiB is a generous ceiling.
 inline constexpr std::uint32_t kMaxFramePayload = 16u << 20;
 
-enum class FrameType : std::uint8_t {
-  kData = 0,      // opaque message-plane payload (task bytes / channel frame)
-  kSeed = 1,      // controller-originated marking task, bypasses the channel
-  kRegister = 2,  // worker → controller: first frame on a connection
-  kRegisterAck = 3,  // controller → worker: accepted, carries config
-  kReject = 4,       // controller → worker: refused, carries reason
-  kHandoff = 5,      // controller → worker: graph partition snapshot
-  kPlaneBegin = 6,   // controller → workers: a marking plane opens
-  kRescueBegin = 7,  // controller → workers: rescue wave reopens the plane
-  kQuiesce = 8,      // controller → workers: wave done, flush + report
-  kMarkReport = 9,   // worker → controller: per-vertex mark results
-  kPlaneDone = 10,   // worker → controller: termination return reached root
-  kShutdown = 11,    // controller → workers: exit cleanly
-  // Telemetry plane (docs/OBSERVABILITY.md "Observing a cluster run").
-  kTelemetry = 12,   // worker → controller: metrics/trace delta per quiesce
-  kClockProbe = 13,  // controller → worker: clock-offset probe (echoed back)
-  kClockEcho = 14,   // worker → controller: probe + worker clock sample
-  // Dynamic membership (docs/CLUSTER.md "Membership and failure model").
-  kEpochFence = 15,   // controller → workers: adopt gen, void stale traffic
-  kHandoffAck = 16,   // worker → controller: handoff seq + checksum verdict
-};
+// X(kEnumerator, "name", "doc") — one row per frame type. A row's position
+// is its wire code, so rows are only ever appended.
+#define DGR_FRAME_TYPES(X)                                                    \
+  X(kData, "data", "message-plane payload: task bytes or a channel frame")    \
+  X(kSeed, "seed", "controller-originated marking task, bypasses the channel") \
+  X(kRegister, "register", "worker → controller: first frame on a connection") \
+  X(kRegisterAck, "register_ack", "controller → worker: accepted, + config")  \
+  X(kReject, "reject", "controller → worker: refused, carries reason")        \
+  X(kHandoff, "handoff", "controller → worker: graph partition snapshot")     \
+  X(kPlaneBegin, "plane_begin", "controller → workers: a marking plane opens") \
+  X(kRescueBegin, "rescue_begin", "controller → workers: rescue wave reopens") \
+  X(kQuiesce, "quiesce", "controller → workers: wave done, flush + report")   \
+  X(kMarkReport, "mark_report", "worker → controller: per-vertex marks")      \
+  X(kPlaneDone, "plane_done", "worker → controller: termination at the root") \
+  X(kShutdown, "shutdown", "controller → workers: exit cleanly")              \
+  /* Telemetry plane (docs/OBSERVABILITY.md "Observing a cluster run"). */    \
+  X(kTelemetry, "telemetry", "worker → controller: metrics/trace delta")      \
+  X(kClockProbe, "clock_probe", "controller → worker: clock-offset probe")    \
+  X(kClockEcho, "clock_echo", "worker → controller: probe + worker clock")    \
+  /* Dynamic membership (docs/CLUSTER.md "Membership and failure model"). */  \
+  X(kEpochFence, "epoch_fence", "controller → workers: adopt gen, void stale") \
+  X(kHandoffAck, "handoff_ack", "worker → controller: handoff seq + verdict")
 
-const char* frame_type_name(FrameType t);
+enum class FrameType : std::uint8_t { DGR_FRAME_TYPES(DGR_ENUMERATOR) };
+inline constexpr const char* kFrameTypeNames[] = {
+    DGR_FRAME_TYPES(DGR_ENUM_NAME)};
+constexpr const char* frame_type_name(FrameType t) {
+  return enum_name(kFrameTypeNames, t);
+}
 
 struct NetFrame {
   FrameType type = FrameType::kData;

@@ -35,20 +35,12 @@ std::vector<std::uint8_t> encode_frame(const ChannelFrame& f) {
   w.u64(f.seq);
   w.u64(f.ack);
   w.u32(static_cast<std::uint32_t>(f.payloads.size()));
-  std::vector<std::uint8_t> out = w.take();
   for (const auto& p : f.payloads) {
-    ByteWriter len;
-    len.u32(static_cast<std::uint32_t>(p.size()));
-    std::vector<std::uint8_t> l = len.take();
-    out.insert(out.end(), l.begin(), l.end());
-    out.insert(out.end(), p.begin(), p.end());
+    w.u32(static_cast<std::uint32_t>(p.size()));
+    w.bytes(p.data(), p.size());
   }
-  const std::uint64_t sum = fnv1a(out.data(), out.size());
-  ByteWriter tail;
-  tail.u64(sum);
-  std::vector<std::uint8_t> t = tail.take();
-  out.insert(out.end(), t.begin(), t.end());
-  return out;
+  w.u64(fnv1a(w.data(), w.size()));
+  return w.take();
 }
 
 std::optional<ChannelFrame> try_decode_frame(
@@ -148,23 +140,12 @@ void ChannelManager::send(PeId src, PeId dst, Bytes payload,
     // No piggyback read — acks are immediate in this mode, and skipping the
     // reverse-channel lock keeps the path byte-for-byte the PR 4 one.
     Channel& ch = channel(src, dst);
+    std::vector<Bytes> payloads;
+    payloads.push_back(std::move(payload));
     Bytes frame;
     {
       std::lock_guard<std::mutex> lk(ch.mu);
-      ChannelFrame f;
-      f.is_data = true;
-      f.src = src;
-      f.dst = dst;
-      f.seq = ch.next_seq++;
-      f.payloads.push_back(std::move(payload));
-      frame = encode_frame(f);
-      const bool was_empty = ch.unacked.empty();
-      ch.unacked.emplace(f.seq, Unacked{frame, now_us, 1});
-      if (was_empty) {
-        ch.backoff_shift = 0;
-        ch.rto_deadline_us = now_us + rto_us(0);
-      }
-      ++ch.stats.data_sent;
+      frame = seal(ch, src, dst, /*ack=*/0, std::move(payloads), now_us);
     }
     send_(src, dst, std::move(frame));
     return;
@@ -184,6 +165,26 @@ void ChannelManager::send(PeId src, PeId dst, Bytes payload,
   if (flush_now) flush_pair(src, dst, now_us);
 }
 
+ChannelManager::Bytes ChannelManager::seal(Channel& ch, PeId src, PeId dst,
+                                           std::uint64_t ack,
+                                           std::vector<Bytes> payloads,
+                                           std::uint64_t now_us) {
+  ChannelFrame f;
+  f.src = src;
+  f.dst = dst;
+  f.seq = ch.next_seq++;
+  f.ack = ack;
+  f.payloads = std::move(payloads);
+  Bytes frame = encode_frame(f);
+  if (ch.unacked.empty()) {
+    ch.backoff_shift = 0;
+    ch.rto_deadline_us = now_us + rto_us(0);
+  }
+  ch.unacked.emplace(f.seq, Unacked{frame, now_us, 1});
+  ++ch.stats.data_sent;
+  return frame;
+}
+
 void ChannelManager::flush_pair(PeId src, PeId dst, std::uint64_t now_us) {
   // Lock discipline: never hold two channel mutexes. Take the reverse
   // channel's piggyback first; if the batch turns out empty (another thread
@@ -196,24 +197,10 @@ void ChannelManager::flush_pair(PeId src, PeId dst, std::uint64_t now_us) {
   {
     std::lock_guard<std::mutex> lk(ch.mu);
     if (!ch.pending.empty()) {
-      ChannelFrame f;
-      f.is_data = true;
-      f.src = src;
-      f.dst = dst;
-      f.seq = ch.next_seq++;
-      f.ack = pig;
-      f.payloads = std::move(ch.pending);
+      count = ch.pending.size();
+      frame = seal(ch, src, dst, pig, std::move(ch.pending), now_us);
       ch.pending.clear();
       ch.pending_bytes = 0;
-      count = f.payloads.size();
-      frame = encode_frame(f);
-      const bool was_empty = ch.unacked.empty();
-      ch.unacked.emplace(f.seq, Unacked{frame, now_us, 1});
-      if (was_empty) {
-        ch.backoff_shift = 0;
-        ch.rto_deadline_us = now_us + rto_us(0);
-      }
-      ++ch.stats.data_sent;
       ++ch.stats.batch_flushes;
       ch.stats.payloads_coalesced += count;
     }
@@ -259,7 +246,7 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_frame(
   }
   if (f->dst >= num_pes_ || f->src >= num_pes_) return {};
   if (f->is_data) return on_data(*f, now_us);
-  on_ack(*f, now_us);
+  process_ack(f->src, f->dst, f->seq, now_us);
   return {};
 }
 
@@ -308,10 +295,6 @@ std::vector<ChannelManager::Bytes> ChannelManager::on_data(
   }
   if (ack_standalone) send_standalone_ack(f.src, f.dst, cum_ack);
   return out;
-}
-
-void ChannelManager::on_ack(const ChannelFrame& f, std::uint64_t now_us) {
-  process_ack(f.src, f.dst, f.seq, now_us);
 }
 
 void ChannelManager::process_ack(PeId src, PeId dst, std::uint64_t cum,

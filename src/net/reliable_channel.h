@@ -24,7 +24,7 @@
 // flushed when the pending batch reaches batch_bytes or ages past
 // batch_flush_us (serviced from the owning PE's loop, or forced via flush()).
 // One frame = one sequence number = one ack, so the per-message protocol
-// cost (framing, checksum, ack traffic, mailbox crossings) amortizes over
+// cost (framing, checksum, ack traffic, queue crossings) amortizes over
 // the whole batch. Acks piggyback on reverse-direction data frames (the
 // `ack` field carries the receiver's cumulative frontier); standalone acks
 // are deferred up to batch_flush_us and sent from service() only when no
@@ -33,7 +33,9 @@
 // immediate standalone ack per data frame.
 //
 // The manager is transport-agnostic: frames leave through a SendFn (the
-// fault plane, a bare mailbox, or a test harness) and arrive via on_frame.
+// fault plane or a test harness) and arrive via on_frame. SendFn runs with
+// no channel lock held, so it may deliver synchronously and feed on_frame
+// from inside send().
 // Time is passed in explicitly (microseconds, any monotonic origin), which
 // keeps the protocol state machine deterministic and unit-testable.
 #pragma once
@@ -186,7 +188,6 @@ class ChannelManager {
   }
   std::uint64_t rto_us(std::uint32_t shift) const;
   std::vector<Bytes> on_data(const ChannelFrame& f, std::uint64_t now_us);
-  void on_ack(const ChannelFrame& f, std::uint64_t now_us);
   // Apply a cumulative ack `cum` against sender channel (src → dst).
   void process_ack(PeId src, PeId dst, std::uint64_t cum, std::uint64_t now_us);
   // Consume the reverse channel's piggyback: returns (dst → src)'s cumulative
@@ -194,6 +195,10 @@ class ChannelManager {
   // clear when the caller ends up not sending a data frame after all.
   std::uint64_t take_piggyback(PeId src, PeId dst, bool* had_deferred);
   void restore_deferred_ack(PeId src, PeId dst);
+  // Under ch.mu: number `payloads` as (src → dst)'s next data frame, record
+  // it unacked (arming the retransmit timer) and return its encoding.
+  Bytes seal(Channel& ch, PeId src, PeId dst, std::uint64_t ack,
+             std::vector<Bytes> payloads, std::uint64_t now_us);
   // Seal (src → dst)'s pending batch into one data frame and transmit it.
   void flush_pair(PeId src, PeId dst, std::uint64_t now_us);
   void send_standalone_ack(PeId src, PeId dst, std::uint64_t cum);

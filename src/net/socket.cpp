@@ -108,10 +108,6 @@ long Socket::read_some(void* buf, std::size_t cap) {
   }
 }
 
-void Socket::shutdown_read() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RD);
-}
-
 void Socket::shutdown_rdwr() {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }

@@ -48,8 +48,6 @@ class Socket {
   // Loops only on EINTR, so short reads surface to the framing layer.
   long read_some(void* buf, std::size_t cap);
 
-  // Shut down the read side to wake a blocked reader thread.
-  void shutdown_read();
   // Shut down both directions: wakes a blocked reader AND fails a writer
   // stuck against a full kernel buffer (shutdown-time teardown).
   void shutdown_rdwr();

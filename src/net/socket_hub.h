@@ -44,7 +44,6 @@ struct TransportStats {
   std::uint64_t bytes_sent = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t bytes_received = 0;
-  std::uint64_t connects = 0;              // outbound connections established
   std::uint64_t accepts = 0;               // inbound connections accepted
   std::uint64_t reconnects = 0;            // re-registrations after a drop
   std::uint64_t partial_read_resumes = 0;  // frames completed across >1 read

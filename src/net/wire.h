@@ -30,21 +30,22 @@ class ByteWriter {
   // Pre-size the buffer for a record of known length.
   explicit ByteWriter(std::size_t reserve) { buf_.reserve(reserve); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u32(std::uint32_t v) { raw(&v, sizeof v); }
-  void u64(std::uint64_t v) { raw(&v, sizeof v); }
-  void i64(std::int64_t v) { raw(&v, sizeof v); }
+  void u32(std::uint32_t v) { bytes(&v, sizeof v); }
+  void u64(std::uint64_t v) { bytes(&v, sizeof v); }
+  void i64(std::int64_t v) { bytes(&v, sizeof v); }
   void vid(VertexId v) {
     u32(v.pe);
     u32(v.idx);
   }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-  std::size_t size() const { return buf_.size(); }
-
- private:
-  void raw(const void* p, std::size_t n) {
+  void bytes(const void* p, std::size_t n) {
     const auto* b = static_cast<const std::uint8_t*>(p);
     buf_.insert(buf_.end(), b, b + n);
   }
+  std::vector<std::uint8_t> take() { return std::move(buf_); }
+  const std::uint8_t* data() const { return buf_.data(); }
+  std::size_t size() const { return buf_.size(); }
+
+ private:
   std::vector<std::uint8_t> buf_;
 };
 

@@ -60,7 +60,7 @@ namespace dgr::obs {
   X(kMutatorStallQuiesceUs, "mutator_stall_quiesce_us", "stall us, quiesce due")
 
 #define DGR_OBS_HISTS(X)                                                       \
-  X(kMarkQueueDepth, "mark_queue_depth", "run queue + mailbox backlog")        \
+  X(kMarkQueueDepth, "mark_queue_depth", "run-queue backlog at service time")  \
   X(kPoolDepth, "pool_depth", "reduction pool depth at service time")          \
   X(kMsgLatency, "msg_latency", "cross-PE delivery latency (sim steps)")       \
   X(kChannelRtt, "channel_rtt_us", "reliable-channel clean RTT (us)")          \

@@ -94,8 +94,6 @@ std::size_t SimEngine::pending_reduction() const {
   return n;
 }
 
-std::size_t SimEngine::pending_marking() const { return mark_pending_; }
-
 bool SimEngine::step() {
   deliver_due();
   // Candidate queues: (pe, is_marking). Chosen uniformly at random, so PE

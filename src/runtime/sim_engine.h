@@ -107,7 +107,6 @@ class SimEngine final : public TaskSink, public PoolSet {
 
   // Number of pending (unexecuted) reduction tasks across all pools.
   std::size_t pending_reduction() const;
-  std::size_t pending_marking() const;
 
   // Introspection for tests/benches.
   const TaskPool& pool(PeId pe) const { return pool_at(pe); }

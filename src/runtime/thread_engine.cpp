@@ -9,6 +9,28 @@
 namespace dgr {
 
 namespace {
+// Tasks a PE takes from its run queue per loop pass, under one queue lock;
+// also the cap on one steal. The bound keeps pause/restructure latency and
+// flush staleness in check.
+constexpr std::size_t kDrainMax = 64;
+// Soft backpressure, edge-triggered per directed PE pair: the first spawn
+// that finds the destination's run queue deeper than kBackpressureLimit
+// yields up to kBackpressureSpins times (counted as backpressure_stall) and,
+// if the peer is still congested, disarms the pair — subsequent spawns
+// proceed at full speed until the backlog falls below half the limit, which
+// re-arms it. One stall episode per congestion event, not one per message:
+// a per-message yield loop is exactly the ping-pong stall that produced the
+// 2-PE cliff (see docs/PERF.md). Never blocking is load-bearing: the
+// spawner may hold vertex-stripe locks (globally shared hash stripes) that
+// the congested receiver needs to make progress. The backlog counts the
+// destination's own work too.
+constexpr std::uint64_t kBackpressureLimit = 1 << 15;
+constexpr std::uint32_t kBackpressureSpins = 64;
+// A busy channel-plane PE services its channel timers (aged batches,
+// retransmits, deferred acks) once per this many loop passes; an idle one
+// every pass.
+constexpr std::uint32_t kServicePasses = 64;
+
 // The engine and PE id of the current thread, if it is a PE thread. Keyed by
 // engine so a PE thread calling into another engine counts as external there.
 thread_local const ThreadEngine* tl_engine = nullptr;
@@ -58,14 +80,9 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   // Restructuring must not run from inside a task execution (the completing
   // task holds its vertex lock); the PE loops pick it up lock-free.
   controller_->set_deferred_restructure(true);
-  // One inbox per PE: a run queue on the typed plane, a mailbox on the
-  // channel plane.
-  for (PeId pe = 0; pe < g_.num_pes(); ++pe) {
-    if (net_.enabled())
-      mail_.push_back(std::make_unique<Mailbox>());
-    else
-      runq_.push_back(std::make_unique<LocalRun>());
-  }
+  // One inbox per PE on both planes: its run queue.
+  for (PeId pe = 0; pe < g_.num_pes(); ++pe)
+    runq_.push_back(std::make_unique<LocalRun>());
   counts_ = std::make_unique<TaskCounts[]>(g_.num_pes() + 1u);
   out_.resize(g_.num_pes());
   for (auto& row : out_) row.resize(g_.num_pes());
@@ -79,61 +96,19 @@ ThreadEngine::ThreadEngine(Graph& g, NetOptions net)
   net_.reliable.batch_bytes = net_.batch_bytes;
   net_.reliable.batch_flush_us = net_.batch_flush_us;
   if (net_.enabled()) {
-    fault_ = std::make_unique<FaultPlane>(
-        g_.num_pes(), net_.faults,
-        [this](PeId, PeId dst, FaultPlane::Bytes msg) {
-          mail_[dst]->deliver(std::move(msg));
+    // The channel plane ends at delivery: whichever thread the fault plane
+    // delivers a frame on feeds it through the channel and pushes the tasks
+    // it releases into the destination's run queue, in one push.
+    chan_ = std::make_unique<TaskChannel>(
+        g_.num_pes(), net_.faults, net_.reliable, reg_, trace_,
+        [this](PeId, PeId dst, TaskChannel::Bytes frame) {
+          std::vector<Task> tasks;
+          const std::size_t bad = chan_->receive(dst, frame, now_us(), tasks);
+          runq_[dst]->q.push_all(tasks);
+          // An undecodable payload still retires its spawn, so
+          // wait_quiescent cannot hang on it.
+          for (std::size_t i = 0; i < bad; ++i) retire(self_pe());
         });
-    fault_->set_inject_hook(
-        [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
-          static constexpr obs::Counter kFaultCounter[kNumFaultKinds] = {
-              obs::Counter::kMsgDroppedInjected,
-              obs::Counter::kMsgDupInjected,
-              obs::Counter::kMsgReorderedInjected,
-              obs::Counter::kMsgTruncatedInjected,
-          };
-          reg_.add(src, kFaultCounter[static_cast<std::size_t>(k)]);
-          DGR_TRACE_EVENT(trace_.get(), obs::EventType::kFaultInjected,
-                          Plane::kR, static_cast<std::uint16_t>(src), 0,
-                          static_cast<std::uint64_t>(k), bytes);
-        });
-    chan_ = std::make_unique<ChannelManager>(
-        g_.num_pes(), net_.reliable,
-        [this](PeId src, PeId dst, ChannelManager::Bytes frame) {
-          fault_->send(src, dst, std::move(frame));
-        });
-    ChannelManager::Hooks hooks;
-    hooks.on_retransmit = [this](PeId src, PeId, std::uint64_t seq,
-                                 std::uint32_t attempt) {
-      reg_.add(src, obs::Counter::kMsgRetransmit);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgRetransmit, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0, seq, attempt);
-    };
-    hooks.on_dup_suppressed = [this](PeId dst, PeId, std::uint64_t seq) {
-      reg_.add(dst, obs::Counter::kMsgDupSuppressed);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgDupSuppressed,
-                      Plane::kR, static_cast<std::uint16_t>(dst), 0, seq);
-    };
-    hooks.on_decode_error = [this](PeId pe) {
-      reg_.add(pe, obs::Counter::kMsgDecodeError);
-    };
-    hooks.on_rtt = [this](PeId src, double rtt_us) {
-      reg_.observe(src, obs::Hist::kChannelRtt, rtt_us);
-    };
-    hooks.on_batch_flush = [this](PeId src, PeId, std::size_t payloads,
-                                  std::size_t frame_bytes) {
-      reg_.add(src, obs::Counter::kBatchFlush);
-      reg_.add(src, obs::Counter::kMsgBatched, payloads);
-      if (net_.batch_bytes > 0)
-        reg_.observe(src, obs::Hist::kBatchFillPct,
-                     100.0 * static_cast<double>(frame_bytes) /
-                         static_cast<double>(net_.batch_bytes));
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBatchFlush, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0,
-                      static_cast<std::uint64_t>(payloads),
-                      static_cast<std::uint64_t>(frame_bytes));
-    };
-    chan_->set_hooks(std::move(hooks));
   }
 }
 
@@ -153,21 +128,11 @@ void ThreadEngine::start() {
 
 void ThreadEngine::stop() {
   if (!running_.exchange(false)) return;
-  // Wake every PE parked on its inbox.
-  if (chan_) {
-    for (auto& m : mail_) m->close();
-  } else {
-    for (auto& r : runq_) r->q.close();
-  }
+  // Wake every PE parked on its run queue.
+  for (auto& r : runq_) r->q.close();
   for (auto& t : threads_) t.join();
   threads_.clear();
   if (wd_thread_.joinable()) wd_thread_.join();
-}
-
-void ThreadEngine::lock_vertex(VertexId v) { spin_lock(locks_[lock_index(v)]); }
-
-void ThreadEngine::unlock_vertex(VertexId v) {
-  locks_[lock_index(v)].clear(std::memory_order_release);
 }
 
 int ThreadEngine::self_pe() const { return tl_engine == this ? tl_pe : -1; }
@@ -184,8 +149,12 @@ void ThreadEngine::count_spawn(int self) {
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
 }
 
-void ThreadEngine::retire(PeId pe) {
-  std::atomic<std::uint64_t>& c = counts_[pe].retired;
+void ThreadEngine::retire(int self) {
+  if (self < 0) {
+    counts_[g_.num_pes()].retired.fetch_add(1, std::memory_order_release);
+    return;
+  }
+  std::atomic<std::uint64_t>& c = counts_[self].retired;
   c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_release);
 }
 
@@ -211,9 +180,11 @@ void ThreadEngine::spawn(Task t) {
   }
   if (src != dst) maybe_backpressure(src, dst);
   if (chan_) {
-    Mailbox::Bytes bytes = encode_task(t);
-    reg_.add(src, obs::Counter::kBytesSent, bytes.size());
-    chan_->send(src, dst, std::move(bytes), now_us());
+    const std::uint64_t now = now_us();
+    chan_->send(src, dst, t, now);
+    // An external thread has no loop to flush its batch later: deliver it
+    // now, as the typed plane does.
+    if (self < 0) chan_->flush(src, now);
     return;
   }
   // Typed plane. Cross-PE spawns from a PE thread stage into the per-pair
@@ -231,7 +202,6 @@ void ThreadEngine::spawn(Task t) {
 }
 
 void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
-  if (net_.backpressure_limit == 0) return;
   const std::uint64_t backlog = inbox_depth(dst);
   std::uint8_t& armed = bp_armed_[src][dst];
   if (!armed) {
@@ -240,10 +210,10 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
     // Yielding per message while the backlog sits above the limit is the
     // 2-PE cliff: a steady-state mark exchange holds both mailboxes near
     // their high-water, so every spawn paid the full spin budget.
-    if (backlog < net_.backpressure_limit / 2) armed = 1;
+    if (backlog < kBackpressureLimit / 2) armed = 1;
     return;
   }
-  if (backlog <= net_.backpressure_limit) return;
+  if (backlog <= kBackpressureLimit) return;
   reg_.add(src, obs::Counter::kBackpressureStall);
   DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBackpressureStall, Plane::kR,
                   static_cast<std::uint16_t>(src), 0,
@@ -252,9 +222,9 @@ void ThreadEngine::maybe_backpressure(PeId src, PeId dst) {
   // (globally shared hash stripes) that the congested receiver needs, so
   // waiting indefinitely could deadlock. Yield a few times; if the peer is
   // still congested, disarm and let the episode run its course.
-  for (std::uint32_t i = 0; i < net_.backpressure_spins; ++i) {
+  for (std::uint32_t i = 0; i < kBackpressureSpins; ++i) {
     std::this_thread::yield();
-    if (inbox_depth(dst) <= net_.backpressure_limit) return;
+    if (inbox_depth(dst) <= kBackpressureLimit) return;
   }
   armed = 0;
 }
@@ -322,20 +292,14 @@ void ThreadEngine::flush_pair_fast(PeId src, PeId dst) {
 }
 
 void ThreadEngine::flush_outgoing(PeId pe, bool force) {
-  if (net_.batch_bytes == 0 || chan_) return;  // nothing ever staged
-  std::uint64_t now = 0;
-  bool now_set = false;
+  if (net_.batch_bytes == 0) return;  // nothing ever staged
+  std::uint64_t now = 0;              // read once, and only when needed
   for (PeId dst = 0; dst < g_.num_pes(); ++dst) {
     OutBatch& b = out_[pe][dst];
     if (b.tasks.empty()) continue;
-    if (!force) {
-      if (b.tasks.size() * kTaskWireBytes < net_.batch_bytes) {
-        if (!now_set) {
-          now = now_us();
-          now_set = true;
-        }
-        if (now < b.deadline_us) continue;
-      }
+    if (!force && b.tasks.size() * kTaskWireBytes < net_.batch_bytes) {
+      if (now == 0) now = now_us();
+      if (now < b.deadline_us) continue;
     }
     flush_pair_fast(pe, dst);
   }
@@ -346,9 +310,8 @@ void ThreadEngine::inject(Task t) { pool_push(std::move(t)); }
 void ThreadEngine::pe_loop(PeId pe) {
   tl_engine = this;
   tl_pe = static_cast<int>(pe);
-  std::uint64_t frames = 0;  // for periodic timer service while busy
-  Burst burst;               // reused across passes
-  const std::size_t drain_max = net_.drain_max ? net_.drain_max : 1;
+  std::uint32_t passes = 0;   // for periodic channel service while busy
+  std::vector<Task> burst;    // reused across passes
   while (running_.load(std::memory_order_relaxed)) {
     // Whatever the last pass (tasks, a restructure, a steal) spawned for
     // this PE becomes runnable, and stealable, here.
@@ -371,91 +334,67 @@ void ThreadEngine::pe_loop(PeId pe) {
       restructure_claim_.clear(std::memory_order_release);
       continue;
     }
-    // A burst of the inbox: up to drain_max entries per pass (the bounded
-    // budget keeps pause/restructure latency and flush staleness in check).
-    std::size_t n = take(pe, drain_max, burst);
+    // A burst of the run queue: up to kDrainMax tasks per pass.
+    std::size_t n = take(pe, kDrainMax, burst);
+    // Channel timers: every pass while idle — a dropped frame leaves the
+    // destination's run queue empty until this PE re-sends it — and every
+    // kServicePasses passes while busy.
+    if (chan_ && (n == 0 || ++passes % kServicePasses == 0)) {
+      const std::uint64_t now = now_us();
+      if (n == 0) chan_->flush(pe, now);
+      chan_->service(pe, now);
+    }
     if (n == 0) {
-      // Idle: staged batches flush now (latency floor for stragglers), and
-      // idle is when retransmit timers matter — a dropped frame leaves the
-      // mailbox empty until this PE re-sends it.
+      // Idle: staged batches flush now (latency floor for stragglers).
       flush_outgoing(pe, /*force=*/true);
-      if (chan_) {
-        chan_->flush(pe, now_us());
-        chan_->service(pe, now_us());
-      }
       // Balance the survivors: an idle PE takes half of the deepest peer
       // backlog instead of parking — on a congested pair this turns the
       // ping-pong idle time into useful marking work.
       if (net_.steal && try_steal(pe, burst)) continue;
-      // Nothing to run and nothing to steal: park on the inbox condvar
+      // Nothing to run and nothing to steal: park on the run queue's condvar
       // (bounded, so pause/steal/timer polls still happen) rather than
       // yield-spinning. A polling idler on a shared core competes with the
       // busy PEs for the timeslice that would drain the very backlog it is
-      // polling for. Every wake-up source pushes into the inbox: peers'
-      // flushes and external spawns, or the fault plane's deliveries.
+      // polling for. Every wake-up source pushes into the run queue: peers'
+      // flushes, external spawns and the channel's deliveries.
       if (net_.idle_wait_us == 0)
         std::this_thread::yield();
       else
-        n = take(pe, drain_max, burst, net_.idle_wait_us);
+        n = take(pe, kDrainMax, burst, net_.idle_wait_us);
       if (n == 0) continue;
     }
     // Sampled backlog at service time, once per pass: what this pass serves
-    // plus what still waits in the inbox. The per-PE hist lock is
+    // plus what still waits in the run queue. The per-PE hist lock is
     // uncontended: only this thread observes its slot.
     if ((reg_.get(pe, obs::Counter::kMarkTasks) & 15) == 0)
       reg_.observe(pe, obs::Hist::kMarkQueueDepth,
                    static_cast<double>(n + inbox_depth(pe)));
-    run(pe, pe, burst);
-    if (chan_ && (frames += n) >= 64) {
-      frames = 0;
-      chan_->service(pe, now_us());
-    }
+    run(pe, burst);
     // Between bursts: push out size/age-ripe batches staged by the executes
-    // above (worst-case staleness is one drain_max burst + batch_flush_us).
+    // above (worst-case staleness is one kDrainMax burst + batch_flush_us).
     flush_outgoing(pe, /*force=*/false);
   }
   tl_pe = -1;
   tl_engine = nullptr;
 }
 
-std::size_t ThreadEngine::take(PeId from, std::size_t max_n, Burst& b,
-                               std::uint32_t wait_us) {
-  b.tasks.clear();
-  b.frames.clear();
-  if (chan_) {
-    Mailbox& m = *mail_[from];
-    return wait_us ? m.drain_wait(max_n, b.frames, wait_us)
-                   : m.drain(max_n, b.frames);
-  }
+std::size_t ThreadEngine::take(PeId from, std::size_t max_n,
+                               std::vector<Task>& b, std::uint32_t wait_us) {
+  b.clear();
   auto& q = runq_[from]->q;
-  return wait_us ? q.pop_up_to_wait(max_n, b.tasks,
+  return wait_us ? q.pop_up_to_wait(max_n, b,
                                     std::chrono::microseconds(wait_us))
-                 : q.pop_up_to(max_n, b.tasks);
+                 : q.pop_up_to(max_n, b);
 }
 
-void ThreadEngine::run(PeId pe, PeId from, const Burst& b) {
-  for (const Task& t : b.tasks) {
+void ThreadEngine::run(PeId pe, const std::vector<Task>& b) {
+  for (const Task& t : b) {
     execute(pe, t);
-    retire(pe);
-  }
-  for (const auto& frame : b.frames) {
-    // Raw frame → channel → zero or more exactly-once in-order payloads.
-    for (auto& payload : chan_->on_frame(from, frame, now_us())) {
-      const std::optional<Task> t = try_decode_task(payload);
-      if (t) {
-        execute(pe, *t);
-      } else {
-        // Unreachable unless a checksum collision slips corruption past the
-        // frame layer; counted, and the spawn is retired so wait_quiescent
-        // cannot hang on it.
-        reg_.add(pe, obs::Counter::kMsgDecodeError);
-      }
-      retire(pe);
-    }
+    retire(static_cast<int>(pe));
   }
 }
 
-bool ThreadEngine::try_steal(PeId pe, Burst& b) {
+bool ThreadEngine::try_steal(PeId pe, std::vector<Task>& b) {
   PeId victim = pe;
   std::size_t deepest = 0;
   for (PeId v = 0; v < g_.num_pes(); ++v) {
@@ -467,20 +406,16 @@ bool ThreadEngine::try_steal(PeId pe, Burst& b) {
     }
   }
   if (deepest < net_.steal_min) return false;
-  const std::size_t want = std::max<std::size_t>(
-      std::min<std::size_t>(deepest / 2, net_.drain_max ? net_.drain_max : 1),
-      1);
+  const std::size_t want =
+      std::max<std::size_t>(std::min<std::size_t>(deepest / 2, kDrainMax), 1);
   const std::size_t n = take(victim, want, b);
   if (n == 0) return false;
   reg_.add(pe, obs::Counter::kStealBatches);
   reg_.add(pe, obs::Counter::kStealTasks, n);
   // Execute the stolen batch here. Location transparency makes this safe:
   // vertex locks are global stripes, the marker touches only t.d under its
-  // lock, counters are charged to the executing PE, and the channel/fault
-  // planes serialize internally — a stolen frame still runs through
-  // on_frame(victim, ...) so the (src → victim) receiver state stays
-  // exactly-once regardless of which thread processes it.
-  run(pe, victim, b);
+  // lock, and counters are charged to the executing PE.
+  run(pe, b);
   // Children spawned by the stolen tasks staged into this thief's rows;
   // push the ripe ones out before the next poll.
   flush_outgoing(pe, /*force=*/false);
@@ -493,9 +428,10 @@ void ThreadEngine::execute(PeId pe, const Task& t) {
                                          : obs::Counter::kReturnTasks);
   // Atomicity of task execution (§2.1): a marking task touches only its
   // destination vertex, so its lock is the whole story.
-  lock_vertex(t.d);
+  std::atomic_flag& lock = locks_[lock_index(t.d)];
+  spin_lock(lock);
   marker_->exec(t);
-  unlock_vertex(t.d);
+  lock.clear(std::memory_order_release);
 }
 
 void ThreadEngine::atomically(std::initializer_list<VertexId> vs,
@@ -683,15 +619,9 @@ ThreadEngineStats ThreadEngine::stats() const {
   s.steal_tasks = reg_.total(obs::Counter::kStealTasks);
   s.edge_cut = reg_.total(obs::Counter::kEdgeCut);
   s.edges_total = reg_.total(obs::Counter::kEdgesTotal);
-  if (chan_) {
-    for (const auto& m : mail_)
-      s.mailbox_high_water =
-          std::max<std::uint64_t>(s.mailbox_high_water, m->high_water());
-  } else {
-    for (const auto& r : runq_)
-      s.mailbox_high_water =
-          std::max<std::uint64_t>(s.mailbox_high_water, r->q.high_water());
-  }
+  for (const auto& r : runq_)
+    s.mailbox_high_water =
+        std::max<std::uint64_t>(s.mailbox_high_water, r->q.high_water());
   return s;
 }
 

@@ -14,25 +14,27 @@
 // half on mixed-priority graphs; the marks and priorities reached are the
 // same under any order.
 //
-// What a message is depends on the plane, fixed at construction, and each PE
-// has exactly one inbox on either:
+// Each PE has exactly one inbox, its run queue, on both message planes; what
+// differs, fixed at construction, is how a task reaches it:
 //   - the typed plane (the default: no faults, no forced channel): every
-//     marking task moves as a copied Task value, and each PE's run queue is
-//     its inbox. Cross-PE spawns are staged per directed pair and flushed
-//     into the destination's run queue; nothing is encoded.
+//     marking task moves as a copied Task value. Cross-PE spawns are staged
+//     per directed pair and flushed into the destination's run queue;
+//     nothing is encoded.
 //   - the channel plane (NetOptions::enabled(): faults or force_reliable):
-//     every marking task, local or remote, is encoded (net/wire.h) and sent
-//     through a ChannelManager over a FaultPlane, which delivers frames into
-//     the destination PE's Mailbox. The PE feeds them back through the
-//     channel and executes the exactly-once payload stream.
+//     every marking task, local or remote, takes the path
+//       spawn → channel → FaultPlane → decode → run queue → pe_loop.
+//     A TaskChannel (runtime/task_channel.h) encodes it and sends it through
+//     a ChannelManager over a FaultPlane; the fault plane's delivery feeds
+//     the frame back through the channel and pushes the exactly-once,
+//     in-order tasks it releases into the destination PE's run queue.
 // The per-task counters (quiescence counts, marker stats, registry counters)
 // live on per-PE cache lines on both planes.
 //
 // Mutations (the cooperating primitives) touch several vertices; callers
-// take the locks of the touch set in id order via LockSet. The restructuring
-// phase runs under a brief global pause (quiesce) — the paper requires only
-// the MARK phase to be concurrent (§4: "we concentrate solely upon the mark
-// phase").
+// take the locks of the touch set in sorted order via atomically(). The
+// restructuring phase runs under a brief global pause (quiesce) — the paper
+// requires only the MARK phase to be concurrent (§4: "we concentrate solely
+// upon the mark phase").
 //
 // Scope: this engine drives marking workloads plus driver-based mutation
 // (the full reduction Machine runs on the deterministic SimEngine; see
@@ -52,56 +54,33 @@
 #include "core/cooperation.h"
 #include "core/marker.h"
 #include "net/fault_plane.h"
-#include "net/mailbox.h"
 #include "net/reliable_channel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/pool.h"
+#include "runtime/task_channel.h"
 #include "util/mpmc_queue.h"
 
 namespace dgr {
 
-// Sorted-order acquisition of per-vertex spinlocks; RAII release.
-class VertexLocks;
-
-// Message-plane configuration. With a nonzero fault schedule (or
-// force_reliable), every marking message is encoded and crosses a
-// FaultPlane wrapped in a ChannelManager: the engine sees exactly-once
-// in-order delivery while the wire drops, duplicates, reorders and truncates
-// under it. With the default (no faults) the engine runs the typed plane:
-// every marking task moves as a Task value into the destination PE's run
-// queue, and nothing is encoded.
+// Message-plane configuration. A nonzero fault schedule (or force_reliable)
+// selects the channel plane; the default runs the typed plane (see above).
 //
 // Batching (on by default): cross-PE spawns coalesce per directed PE pair —
-// on the typed plane into per-pair rows of Tasks, flushed as one push into
-// the destination's run queue; on the channel plane into multi-payload
-// frames (the same knobs are forwarded to ReliableOptions). A row's size is
-// its task count times kTaskWireBytes. A batch flushes when it reaches
+// on the typed plane into per-pair rows of Tasks (a row's size is its task
+// count times kTaskWireBytes), flushed as one push into the destination's
+// run queue; on the channel plane into multi-payload frames (the same knobs
+// are forwarded to ReliableOptions). A batch flushes when it reaches
 // batch_bytes, ages past batch_flush_us, or its owning PE goes idle or
-// parks; receivers take up to drain_max tasks (or frames) per loop pass
-// under one queue lock. batch_bytes == 0 restores one delivery per task (the
-// --no-batch leg).
+// parks. batch_bytes == 0 restores one delivery per task (the --no-batch
+// leg). The receive burst and the soft backpressure are constants
+// (thread_engine.cpp: kDrainMax, kBackpressureLimit, kBackpressureSpins).
 struct NetOptions {
   FaultPlaneOptions faults;
   ReliableOptions reliable;
   bool force_reliable = false;  // channel layer even with a zero schedule
   std::uint32_t batch_bytes = 4096;    // size cap per staged pair (0 = off)
   std::uint32_t batch_flush_us = 100;  // age cap on a staged batch
-  std::uint32_t drain_max = 64;        // receiver: messages per drain pass
-  // Soft backpressure, edge-triggered per directed PE pair: the first spawn
-  // that finds the destination backlog over the limit yields up to
-  // backpressure_spins times (counted as backpressure_stall) and, if the
-  // peer is still congested, disarms the pair — subsequent spawns proceed
-  // at full speed until the backlog falls below half the limit, which
-  // re-arms it. One stall episode per congestion event, not one per
-  // message: a per-message yield loop is exactly the ping-pong stall that
-  // produced the 2-PE cliff (see docs/PERF.md). Never blocking is
-  // load-bearing: the spawner may hold vertex-stripe locks (globally shared
-  // hash stripes) that the congested receiver needs to make progress. The
-  // backlog is the destination's run queue on the typed plane (it also holds
-  // that PE's own work), its channel mailbox otherwise.
-  std::uint64_t backpressure_limit = 1 << 15;  // 0 disables the check
-  std::uint32_t backpressure_spins = 64;
   // Boundary summaries: per-(destination PE, plane) tables recording the
   // strongest mark priority already forwarded per remote vertex this epoch;
   // duplicate remote child marks are suppressed at the sender (counted as
@@ -109,16 +88,14 @@ struct NetOptions {
   // wave and priority level instead of once per cross-partition edge.
   bool boundary_summary = true;
   // Work stealing: a PE with no work of its own takes up to half (capped at
-  // drain_max) of the deepest peer backlog, from a run queue or a mailbox,
-  // and executes the batch itself instead of parking. Sound because task
-  // execution is location-transparent here: vertex locks are global
-  // stripes, counters are per-executing-PE, and the channel/fault planes
-  // take their own locks.
+  // one burst) of the deepest peer run queue and executes the batch itself
+  // instead of parking. Sound because task execution is location-
+  // transparent here: vertex locks are global stripes and counters are
+  // per-executing-PE.
   bool steal = true;
   std::uint64_t steal_min = 16;  // don't steal below this victim backlog
-  // Idle parking: a PE with an empty inbox and nothing stealable blocks on
-  // its inbox condvar (the run queue's on the typed plane, the mailbox's
-  // otherwise) for at most this long (0 = yield-spin instead).
+  // Idle parking: a PE with an empty run queue and nothing stealable blocks
+  // on the queue's condvar for at most this long (0 = yield-spin instead).
   // Bounded so pause requests, steal opportunities and retransmit timers
   // are still polled; parking matters most on hosts with fewer cores than
   // PEs, where a yield-spinning idler competes with the busy PEs for the
@@ -134,8 +111,7 @@ struct ThreadEngineStats {
   std::uint64_t remote_messages = 0;
   std::uint64_t local_messages = 0;
   std::uint64_t bytes_sent = 0;          // encoded bytes (0 on the typed plane)
-  // Deepest inbox backlog seen: the run queues' on the typed plane, the
-  // channel mailboxes' otherwise.
+  // Deepest run-queue backlog seen (the one inbox per PE on both planes).
   std::uint64_t mailbox_high_water = 0;
   std::uint64_t msg_batched = 0;         // messages sent inside a batch
   std::uint64_t batch_flushes = 0;       // batches flushed
@@ -150,8 +126,7 @@ struct ThreadEngineStats {
 // Online health monitoring: a watchdog thread samples the metrics registry,
 // the controller and the inboxes every `interval_ms` and flags
 //   - a marking wave with no front progress for `stall_samples` samples,
-//   - an inbox backlog (run queue on the typed plane) above
-//     `mailbox_saturation`,
+//   - a run-queue backlog above `mailbox_saturation`,
 //   - more than `rescue_storm` supplementary waves within one cycle,
 // as health_warning trace events plus always-on counters (the counters
 // survive -DDGR_TRACE=OFF; only the event emission compiles out).
@@ -180,7 +155,7 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // Start the PE threads (idempotent). Mints every aux root first
   // (Controller::prewarm_aux_roots), so no PE thread allocates one mid-wave.
   void start();
-  // Stop the PE threads, waking any parked on an inbox; pending work is
+  // Stop the PE threads, waking any parked on its run queue; pending work is
   // abandoned.
   void stop();
 
@@ -229,8 +204,7 @@ class ThreadEngine final : public TaskSink, public PoolSet {
 
   ThreadEngineStats stats() const;
   // Null unless NetOptions::enabled() at construction (the channel plane).
-  const FaultPlane* fault_plane() const { return fault_.get(); }
-  const ChannelManager* channels() const { return chan_.get(); }
+  const TaskChannel* channel() const { return chan_.get(); }
   // Per-PE counters and histograms.
   obs::MetricsRegistry& metrics_registry() { return reg_; }
   const obs::MetricsRegistry& metrics_registry() const { return reg_; }
@@ -242,53 +216,39 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   obs::TraceBuffer* trace() { return trace_.get(); }
 
  private:
-  friend class VertexLocks;
-
   void pe_loop(PeId pe);
   void execute(PeId pe, const Task& t);
   // This engine's PE id for the calling thread; -1 for any thread that is
   // not one of this engine's PE threads.
   int self_pe() const;
-  // One pass's worth of a PE's inbox: run-queue tasks on the typed plane,
-  // raw frames on the channel plane (the other vector stays empty).
-  struct Burst {
-    std::vector<Task> tasks;
-    std::vector<Mailbox::Bytes> frames;
-  };
-  // Pop up to max_n entries from PE `from`'s inbox into `b` (cleared first),
-  // parking up to wait_us on its condvar while it is empty (0 = no parking).
-  std::size_t take(PeId from, std::size_t max_n, Burst& b,
+  // Pop up to max_n tasks from PE `from`'s run queue into `b` (cleared
+  // first), parking up to wait_us on its condvar while it is empty (0 = no
+  // parking).
+  std::size_t take(PeId from, std::size_t max_n, std::vector<Task>& b,
                    std::uint32_t wait_us = 0);
-  // Execute `b` on PE thread `pe`, retiring each task. `from` is the PE whose
-  // inbox `b` came from (the channel's receiver state is per inbox, whichever
-  // thread drains it).
-  void run(PeId pe, PeId from, const Burst& b);
+  // Execute `b` on PE thread `pe`, retiring each task.
+  void run(PeId pe, const std::vector<Task>& b);
   // Quiescence accounting (see counts_); `self` is the caller's self_pe().
   void count_spawn(int self);
-  void retire(PeId pe);
-  // Entries waiting in PE `pe`'s inbox: tasks in its run queue on the typed
-  // plane, frames in its mailbox otherwise (backpressure, stealing and the
+  void retire(int self);
+  // Tasks waiting in PE `pe`'s run queue (backpressure, stealing and the
   // watchdog read this).
-  std::size_t inbox_depth(PeId pe) const {
-    return chan_ ? mail_[pe]->pending() : runq_[pe]->q.size();
-  }
+  std::size_t inbox_depth(PeId pe) const { return runq_[pe]->q.size(); }
   // Move PE `pe`'s staged local spawns into its run queue (owner only; the
   // channel plane stages nothing).
-  void publish_local(PeId pe) {
-    if (!chan_) runq_[pe]->q.push_all(runq_[pe]->staged);
-  }
+  void publish_local(PeId pe) { runq_[pe]->q.push_all(runq_[pe]->staged); }
   // Typed-plane batching: flush every staged pair whose sender is `pe`
   // (force) or only the size/age-ripe ones. PE-thread-local: row `pe` of
   // out_ is touched exclusively by its owning thread.
   void flush_outgoing(PeId pe, bool force);
   void flush_pair_fast(PeId src, PeId dst);
-  // Edge-triggered congestion episode handling (see NetOptions). Only PE
-  // thread `src` calls this for its own row, so the arming bytes need no
-  // synchronization.
+  // Edge-triggered congestion episode handling (see kBackpressureLimit).
+  // Only PE thread `src` calls this for its own row, so the arming bytes
+  // need no synchronization.
   void maybe_backpressure(PeId src, PeId dst);
-  // Idle-path stealing: take up to half of the deepest peer inbox into `b`
-  // and execute it here. Returns true if work was taken.
-  bool try_steal(PeId pe, Burst& b);
+  // Idle-path stealing: take up to half of the deepest peer run queue into
+  // `b` and execute it here. Returns true if work was taken.
+  bool try_steal(PeId pe, std::vector<Task>& b);
   // Walk the graph once and charge edge_cut / edges_total per owning PE
   // (called from start(), before any thread runs).
   void count_edge_cut();
@@ -304,8 +264,6 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   std::uint32_t lock_index(VertexId v) const {
     return static_cast<std::uint32_t>(VertexIdHash{}(v) % locks_.size());
   }
-  void lock_vertex(VertexId v);
-  void unlock_vertex(VertexId v);
 
   Graph& g_;
   std::unique_ptr<Marker> marker_;
@@ -313,22 +271,19 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   std::unique_ptr<Controller> controller_;
 
   NetOptions net_;
-  // The typed plane's inboxes (empty on the channel plane), one per PE:
-  // marking tasks for this PE, as values. The owner stages its own spawns in
-  // `staged` (no lock) and publishes them to `q` once per loop pass, so the
-  // queue lock is taken per burst, not per task; peers' flushes and external
-  // spawns push into `q` too. `q` is popped by the owner and by idle
-  // thieves, both in mark_order (returns, then vital, eager and reserve
-  // marks; see core/task.h), so a vertex is mostly reached at its final
-  // priority first and mark2 seldom re-marks it.
+  // The inboxes, one per PE on both planes: marking tasks for this PE, as
+  // values. The owner stages its own typed-plane spawns in `staged` (no
+  // lock) and publishes them to `q` once per loop pass, so the queue lock is
+  // taken per burst, not per task; peers' flushes, external spawns and the
+  // channel's deliveries push into `q` too. `q` is popped by the owner and
+  // by idle thieves, both in mark_order (returns, then vital, eager and
+  // reserve marks; see core/task.h), so a vertex is mostly reached at its
+  // final priority first and mark2 seldom re-marks it.
   struct LocalRun {
     MpmcQueue<Task, kMarkOrders, &mark_order> q;
     std::vector<Task> staged;  // owning PE thread only
   };
   std::vector<std::unique_ptr<LocalRun>> runq_;
-  // The channel plane's inboxes (empty on the typed plane), one per PE: the
-  // frames the FaultPlane delivered toward it.
-  std::vector<std::unique_ptr<Mailbox>> mail_;
   // Sender staging (typed plane; the channel batches on its own).
   // out_[src][dst] holds cross-PE marking tasks awaiting one push into dst's
   // run queue. No locks: row src belongs to PE thread src alone; external
@@ -351,11 +306,10 @@ class ThreadEngine final : public TaskSink, public PoolSet {
     std::vector<std::uint8_t> prior;
   };
   std::vector<std::unique_ptr<BoundaryShard>> summary_;
-  // Fault/channel layers (null unless NetOptions::enabled()). Frames flow
-  // spawn → chan_ → fault_ → mail_; pe_loop feeds raw frames back
-  // through chan_->on_frame and executes the exactly-once payload stream.
-  std::unique_ptr<FaultPlane> fault_;
-  std::unique_ptr<ChannelManager> chan_;
+  // The channel plane (null unless NetOptions::enabled()): spawn →
+  // chan_ → FaultPlane → delivery, which decodes the exactly-once tasks into
+  // the destination's run queue.
+  std::unique_ptr<TaskChannel> chan_;
 
   std::vector<std::atomic_flag> locks_;
 
@@ -366,9 +320,10 @@ class ThreadEngine final : public TaskSink, public PoolSet {
   // counts): one cache line per PE thread, plus row num_pes for external
   // threads. A spawning thread bumps its row's `spawned` before the task is
   // published (run-queue push or channel send); the executing PE bumps its
-  // row's `retired`, with release order, after execute() returns (or after
-  // dropping an undecodable payload). Only the owning thread writes a PE
-  // row, so no per-task write is shared.
+  // row's `retired`, with release order, after execute() returns. A payload
+  // the channel delivers but cannot decode retires on the delivering
+  // thread's row instead. Only the owning thread writes a PE row, so no
+  // per-task write is shared; the external row takes fetch_adds.
   //
   // wait_quiescent() reads every `retired` (acquire), then every `spawned`,
   // and returns when the sums are equal. Why equality proves that nothing

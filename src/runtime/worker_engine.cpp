@@ -65,74 +65,14 @@ void WorkerEngine::rebuild_owned_list() {
 }
 
 void WorkerEngine::init_message_plane() {
-  fault_.reset();
   chan_.reset();
-  if (cfg_.faults.any()) {
-    FaultPlaneOptions fopt;
-    fopt.seed = cfg_.fault_seed;
-    fopt.spec = cfg_.faults;
-    fault_ = std::make_unique<FaultPlane>(
-        cfg_.num_pes, fopt,
-        [this](PeId src, PeId dst, FaultPlane::Bytes msg) {
-          send_data(src, dst, std::move(msg));
-        });
-    fault_->set_inject_hook(
-        [this](FaultKind k, PeId src, PeId, std::size_t bytes) {
-          static constexpr obs::Counter kFaultCounter[kNumFaultKinds] = {
-              obs::Counter::kMsgDroppedInjected,
-              obs::Counter::kMsgDupInjected,
-              obs::Counter::kMsgReorderedInjected,
-              obs::Counter::kMsgTruncatedInjected,
-          };
-          reg_.add(src, kFaultCounter[static_cast<std::size_t>(k)]);
-          DGR_TRACE_EVENT(trace_.get(), obs::EventType::kFaultInjected,
-                          Plane::kR, static_cast<std::uint16_t>(src), 0,
-                          static_cast<std::uint64_t>(k), bytes);
-        });
-  }
-  if (cfg_.use_channel) {
-    chan_ = std::make_unique<ChannelManager>(
-        cfg_.num_pes, cfg_.reliable,
-        [this](PeId src, PeId dst, ChannelManager::Bytes frame) {
-          if (fault_) {
-            fault_->send(src, dst, std::move(frame));
-          } else {
-            send_data(src, dst, std::move(frame));
-          }
-        });
-    ChannelManager::Hooks hooks;
-    hooks.on_retransmit = [this](PeId src, PeId, std::uint64_t seq,
-                                 std::uint32_t attempt) {
-      reg_.add(src, obs::Counter::kMsgRetransmit);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgRetransmit, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0, seq, attempt);
-    };
-    hooks.on_dup_suppressed = [this](PeId dst, PeId, std::uint64_t seq) {
-      reg_.add(dst, obs::Counter::kMsgDupSuppressed);
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kMsgDupSuppressed,
-                      Plane::kR, static_cast<std::uint16_t>(dst), 0, seq);
-    };
-    hooks.on_decode_error = [this](PeId pe) {
-      reg_.add(pe, obs::Counter::kMsgDecodeError);
-    };
-    hooks.on_rtt = [this](PeId src, double rtt_us) {
-      reg_.observe(src, obs::Hist::kChannelRtt, rtt_us);
-    };
-    hooks.on_batch_flush = [this](PeId src, PeId, std::size_t payloads,
-                                  std::size_t frame_bytes) {
-      reg_.add(src, obs::Counter::kBatchFlush);
-      reg_.add(src, obs::Counter::kMsgBatched, payloads);
-      if (cfg_.reliable.batch_bytes > 0)
-        reg_.observe(src, obs::Hist::kBatchFillPct,
-                     100.0 * static_cast<double>(frame_bytes) /
-                         static_cast<double>(cfg_.reliable.batch_bytes));
-      DGR_TRACE_EVENT(trace_.get(), obs::EventType::kBatchFlush, Plane::kR,
-                      static_cast<std::uint16_t>(src), 0,
-                      static_cast<std::uint64_t>(payloads),
-                      static_cast<std::uint64_t>(frame_bytes));
-    };
-    chan_->set_hooks(std::move(hooks));
-  }
+  if (!cfg_.use_channel) return;
+  chan_ = std::make_unique<TaskChannel>(
+      cfg_.num_pes, FaultPlaneOptions{cfg_.fault_seed, cfg_.faults},
+      cfg_.reliable, reg_, trace_,
+      [this](PeId src, PeId dst, TaskChannel::Bytes frame) {
+        send_data(src, dst, std::move(frame));
+      });
 }
 
 void WorkerEngine::send_frame(const NetFrame& f) {
@@ -160,14 +100,14 @@ void WorkerEngine::spawn(Task t) {
     q_.push(t);
     return;
   }
-  std::vector<std::uint8_t> bytes = encode_task(t);
   reg_.add(cur_pe_, obs::Counter::kRemoteMessages);
-  reg_.add(cur_pe_, obs::Counter::kBytesSent, bytes.size());
   if (chan_) {
-    chan_->send(cur_pe_, dst, std::move(bytes), now_us());
-  } else {
-    send_data(cur_pe_, dst, std::move(bytes));
+    chan_->send(cur_pe_, dst, t, now_us());
+    return;
   }
+  std::vector<std::uint8_t> bytes = encode_task(t);
+  reg_.add(cur_pe_, obs::Counter::kBytesSent, bytes.size());
+  send_data(cur_pe_, dst, std::move(bytes));
 }
 
 void WorkerEngine::exec_local(Task t) {
@@ -263,7 +203,7 @@ void WorkerEngine::send_mark_report(Plane plane, std::uint64_t epoch) {
   // telemetry before the wave's final report lets the cycle advance. The
   // report is the controller's signal that this worker's partition state is
   // final for the wave.
-  if (fault_) fault_->flush();
+  if (chan_) chan_->release_held();
   service_channel();
   drain_local();
   send_telemetry(plane, epoch);
@@ -375,10 +315,9 @@ bool WorkerEngine::handle_frame(NetFrame f) {
     case FrameType::kData: {
       if (desync_ || f.gen != gen_) return true;  // pre-fence traffic: void
       if (chan_) {
-        for (auto& payload : chan_->on_frame(f.dst, f.payload, now_us())) {
-          const std::optional<Task> t = try_decode_task(payload);
-          if (t) exec_local(*t);
-        }
+        std::vector<Task> tasks;
+        chan_->receive(f.dst, f.payload, now_us(), tasks);
+        for (const Task& t : tasks) exec_local(t);
       } else {
         exec_local(decode_task(f.payload));
       }
@@ -429,42 +368,33 @@ bool WorkerEngine::handle_frame(NetFrame f) {
 
 int WorkerEngine::run() {
   std::vector<std::uint8_t> rbuf(1 << 16);
-  // Frames may already sit in the codec (bytes that trailed the ack).
-  NetFrame f;
-  while (codec_.next(f)) {
-    if (!handle_frame(std::move(f))) return clean_shutdown_ ? 0 : 1;
-    f = NetFrame{};
-  }
   for (;;) {
+    // Frames already in the codec first: on entry, the bytes that trailed
+    // the registration ack.
+    NetFrame f;
+    while (codec_.next(f)) {
+      if (!handle_frame(std::move(f))) return clean_shutdown_ ? 0 : 1;
+      if (fatal_) return 1;
+      f = NetFrame{};
+    }
+    // Idle tick: retransmit timers and deferred acks live here — a dropped
+    // worker↔worker frame leaves both sockets silent until an RTO fires.
+    service_channel();
+    if (fatal_) return 1;
     struct pollfd pfd;
     pfd.fd = sock_.fd();
     pfd.events = POLLIN;
     pfd.revents = 0;
     const int pr = ::poll(&pfd, 1, /*timeout_ms=*/1);
-    if (pr < 0) {
-      if (errno == EINTR) continue;
+    if (pr < 0 && errno != EINTR) return 1;
+    if (pr <= 0) continue;
+    const long n = sock_.read_some(rbuf.data(), rbuf.size());
+    if (n <= 0) return clean_shutdown_ ? 0 : 1;
+    codec_.feed(rbuf.data(), static_cast<std::size_t>(n));
+    if (codec_.error()) {
+      DGR_ERROR("worker %u: stream error: %s", index_, codec_.error_reason());
       return 1;
     }
-    if (pr > 0) {
-      const long n = rbuf.empty() ? 0 : sock_.read_some(rbuf.data(),
-                                                        rbuf.size());
-      if (n <= 0) return clean_shutdown_ ? 0 : 1;
-      codec_.feed(rbuf.data(), static_cast<std::size_t>(n));
-      if (codec_.error()) {
-        DGR_ERROR("worker %u: stream error: %s", index_,
-                  codec_.error_reason());
-        return 1;
-      }
-      while (codec_.next(f)) {
-        if (!handle_frame(std::move(f))) return clean_shutdown_ ? 0 : 1;
-        if (fatal_) return 1;
-        f = NetFrame{};
-      }
-    }
-    if (fatal_) return 1;
-    // Idle tick: retransmit timers and deferred acks live here — a dropped
-    // worker↔worker frame leaves both sockets silent until an RTO fires.
-    service_channel();
   }
 }
 

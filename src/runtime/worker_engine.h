@@ -27,13 +27,12 @@
 
 #include "core/marker.h"
 #include "core/task.h"
-#include "net/fault_plane.h"
 #include "net/frame.h"
 #include "net/proto.h"
-#include "net/reliable_channel.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "runtime/task_channel.h"
 #include "util/mpmc_queue.h"
 #include "util/stats.h"
 
@@ -65,7 +64,7 @@ class WorkerEngine final : public TaskSink {
   void send_frame(const NetFrame& f);
   void send_data(PeId src, PeId dst, std::vector<std::uint8_t> bytes);
   void service_channel();
-  // (Re)create the fault plane + reliable channel. Called from the ctor and
+  // (Re)create the task channel (use_channel only). Called from the ctor and
   // again at every kEpochFence: a membership fence voids all in-flight
   // worker↔worker traffic, and every survivor resets its sequence spaces in
   // the same fence, so fresh channels stay consistent cluster-wide.
@@ -90,9 +89,9 @@ class WorkerEngine final : public TaskSink {
   Graph g_;
   Marker marker_;
   // Worker-side message plane for worker↔worker marks (sender-side state for
-  // pairs whose src this worker owns, receiver-side for its dst PEs).
-  std::unique_ptr<FaultPlane> fault_;
-  std::unique_ptr<ChannelManager> chan_;
+  // pairs whose src this worker owns, receiver-side for its dst PEs); null
+  // unless use_channel, when tasks cross as bare kData payloads.
+  std::unique_ptr<TaskChannel> chan_;
   // Locally-owned tasks awaiting execution, popped in mark_order (as
   // ThreadEngine's run queues: strongest marks first) by the same bucket
   // code.

@@ -1,8 +1,8 @@
-// Unbounded multi-producer multi-consumer queue used for PE mailboxes, run
-// queues and socket out-queues.
+// Unbounded multi-producer multi-consumer queue used for PE run queues and
+// socket out-queues.
 //
 // A mutex+condvar design is deliberately chosen over a lock-free ring: PE
-// mailboxes in this system carry coarse task messages (hundreds of ns of work
+// run queues in this system carry coarse task messages (hundreds of ns of work
 // each), so queue overhead is not the bottleneck, and blocking pop with
 // shutdown semantics keeps the engine simple and correct.
 //
@@ -10,7 +10,7 @@
 // ordering rule `Order` maps each pushed item to a bucket. Every pop drains
 // the lowest-indexed non-empty bucket first; within a bucket items leave in
 // push order. K = 1 with the default rule is a plain FIFO, which is what the
-// mailboxes and socket out-queues use. ThreadEngine's run queues use K = 4
+// socket out-queues use. ThreadEngine's run queues use K = 4
 // with core/task.h's mark_order, so the strongest marks run first. Depth,
 // high-water and wake-ups count across all buckets.
 #pragma once

@@ -394,16 +394,19 @@ void SessionDriver::open_session(const SessionEvent& ev) {
       roots_seen.push_back(VertexId::invalid());
       return;
     }
-    // Fig 4-2: shade the fresh subgraph per the anchor's color, then attach
-    // its entry through the cooperating add.
+    // Fig 4-2: shade the fresh subgraph per the anchor's color.
     m.expand_node(anchor, fresh);
-    const VertexId chain[1] = {anchor};
-    m.add_reference_via(anchor, chain, root, ReqKind::kVital);
-    // Leaf touches the shared hot key last, via the acquired-reference path:
+    // Leaf touches the shared hot key via the acquired-reference path:
     // hotv hangs under a *different* PE's anchor, so this session's chain
     // holds no transient helper for it — when the leaf is already marked the
     // cooperation must queue a rescue rather than splice (cooperation.cpp).
+    // It goes before the subgraph is published: only {anchor, hotv} are
+    // locked here, and once the anchor links the root in, a PE thread may
+    // mark the leaf while this thread reads its color and grows its args.
     m.acquire_reference(prev[0], hotv, ReqKind::kNone);
+    // Attach the entry through the cooperating add.
+    const VertexId chain[1] = {anchor};
+    m.add_reference_via(anchor, chain, root, ReqKind::kVital);
     roots_seen.push_back(root);
   });
 

@@ -1,9 +1,8 @@
 // Unit tests for the priority task pool (§3.2 item 1: vital tasks compete
-// with eager ones — the pool always serves the highest class), the per-PE
-// mailbox (batch delivery / batch drain), and fuzz tests for the wire codec.
+// with eager ones — the pool always serves the highest class) and fuzz tests
+// for the wire codec.
 #include <gtest/gtest.h>
 
-#include "net/mailbox.h"
 #include "net/wire.h"
 #include "runtime/pool.h"
 
@@ -113,54 +112,6 @@ TEST(TaskPool, ForEachSeesEverything) {
   });
   EXPECT_EQ(n, 9u);
   EXPECT_EQ(sum, 36u);
-}
-
-// ---- Mailbox: batch delivery and batch drain over the MPMC queue. ----
-
-Mailbox::Bytes msg(std::uint8_t tag, std::size_t n = 8) {
-  return Mailbox::Bytes(n, tag);
-}
-
-TEST(Mailbox, DeliverBatchPreservesOrder) {
-  Mailbox mb;
-  mb.deliver(msg(0));
-  std::vector<Mailbox::Bytes> batch;
-  for (std::uint8_t i = 1; i <= 4; ++i) batch.push_back(msg(i, 4 + i));
-  mb.deliver_batch(std::move(batch));
-  EXPECT_EQ(mb.pending(), 5u);
-  for (std::uint8_t i = 0; i <= 4; ++i) {
-    const std::optional<Mailbox::Bytes> m = mb.try_receive();
-    ASSERT_TRUE(m.has_value());
-    EXPECT_EQ((*m)[0], i);  // batch lands behind earlier traffic, in order
-  }
-  EXPECT_FALSE(mb.try_receive().has_value());
-}
-
-TEST(Mailbox, DrainTakesUpToNInDeliveryOrder) {
-  Mailbox mb;
-  for (std::uint8_t i = 0; i < 10; ++i) mb.deliver(msg(i));
-  std::vector<Mailbox::Bytes> out;
-  EXPECT_EQ(mb.drain(4, out), 4u);
-  EXPECT_EQ(mb.pending(), 6u);
-  EXPECT_EQ(mb.drain(100, out), 6u);  // appends; never blocks when short
-  EXPECT_EQ(mb.drain(100, out), 0u);
-  ASSERT_EQ(out.size(), 10u);
-  for (std::uint8_t i = 0; i < 10; ++i) EXPECT_EQ(out[i][0], i);
-}
-
-TEST(Mailbox, HighWaterTracksBatchDepth) {
-  Mailbox mb;
-  mb.deliver(msg(1));
-  EXPECT_EQ(mb.high_water(), 1u);
-  std::vector<Mailbox::Bytes> batch(7, msg(2));
-  mb.deliver_batch(std::move(batch));
-  EXPECT_EQ(mb.high_water(), 8u);  // depth observed once, after the batch
-  std::vector<Mailbox::Bytes> out;
-  mb.drain(8, out);
-  mb.deliver(msg(3));
-  EXPECT_EQ(mb.high_water(), 8u);  // monotone
-  mb.deliver_batch({});            // empty batch is a no-op
-  EXPECT_EQ(mb.pending(), 1u);
 }
 
 // ---- Wire codec fuzz: random tasks must round-trip bit-exactly. ----

@@ -1,7 +1,8 @@
 // Reliable-channel tests. The frame codec must reject truncation and
 // corruption recoverably; the ChannelManager must turn a scripted lossy /
 // duplicating / reordering transport into exactly-once in-order delivery;
-// and — the property the whole layer exists for — a ThreadEngine marking
+// TaskChannel must round-trip tasks and count undecodable payloads; and —
+// the property the whole layer exists for — a ThreadEngine marking
 // cycle over an actively faulted message plane must still agree with the
 // sequential Oracle and sweep exactly GAR' (Property 1), with zero
 // safe-point audit violations.
@@ -17,6 +18,8 @@
 #include "graph/builder.h"
 #include "graph/oracle.h"
 #include "net/reliable_channel.h"
+#include "net/wire.h"
+#include "runtime/task_channel.h"
 #include "runtime/thread_engine.h"
 
 namespace dgr {
@@ -356,6 +359,41 @@ NetOptions lossy_net(std::uint64_t seed) {
   return net;
 }
 
+// ---- TaskChannel: the encode → channel → fault plane → decode stack that
+// ThreadEngine's channel plane and dgr_worker share.
+
+TEST(TaskChannel, ZeroScheduleRoundTripsTasksAndCountsBadPayloads) {
+  obs::MetricsRegistry reg(2);
+  std::unique_ptr<obs::TraceBuffer> trace;
+  std::vector<Bytes> to_pe1;  // acks toward PE 0 are not needed here
+  TaskChannel ch(2, FaultPlaneOptions{}, ReliableOptions{}, reg, trace,
+                 [&](PeId, PeId dst, Bytes frame) {
+                   if (dst == 1) to_pe1.push_back(std::move(frame));
+                 });
+  const Task t = Task::mark(Plane::kR, VertexId{0, 1}, VertexId{1, 2}, 3);
+  ch.send(0, 1, t, /*now_us=*/0);
+  ASSERT_EQ(to_pe1.size(), 1u);  // a zero schedule passes the frame through
+  EXPECT_EQ(reg.get(0, obs::Counter::kBytesSent), kTaskWireBytes);
+  std::vector<Task> out;
+  EXPECT_EQ(ch.receive(1, to_pe1[0], 0, out), 0u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].d, t.d);
+  EXPECT_EQ(out[0].s, t.s);
+  // A payload that passes the frame checksum but is no task (only a checksum
+  // collision gets one this far) is counted at the receiving PE and
+  // skipped; the frame's other tasks still arrive.
+  ChannelFrame f;
+  f.src = 0;
+  f.dst = 1;
+  f.seq = 2;
+  f.payloads = {Bytes{1, 2, 3}, encode_task(t)};
+  out.clear();
+  EXPECT_EQ(ch.receive(1, encode_frame(f), 0, out), 1u);
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(reg.get(1, obs::Counter::kMsgDecodeError), 1u);
+  EXPECT_EQ(ch.fault_plane().stats().total_injected(), 0u);
+}
+
 TEST(ThreadEngineUnderFaults, MarksLikeOracleAndSweepsExactlyGar) {
   Graph g = make_presized(4, 2000);
   RandomGraphOptions opt;
@@ -383,8 +421,8 @@ TEST(ThreadEngineUnderFaults, MarksLikeOracleAndSweepsExactlyGar) {
     EXPECT_EQ(eng.marker().prior(Plane::kR, v), o.prior_at(v));
   }
   // The plane really misbehaved, and the channel really recovered.
-  ASSERT_NE(eng.fault_plane(), nullptr);
-  EXPECT_GT(eng.fault_plane()->stats().total_injected(), 0u);
+  ASSERT_NE(eng.channel(), nullptr);
+  EXPECT_GT(eng.channel()->fault_plane().stats().total_injected(), 0u);
   const auto& reg = eng.metrics_registry();
   EXPECT_GT(reg.total(obs::Counter::kMsgDroppedInjected) +
                 reg.total(obs::Counter::kMsgReorderedInjected),
@@ -394,7 +432,7 @@ TEST(ThreadEngineUnderFaults, MarksLikeOracleAndSweepsExactlyGar) {
   // truncated frame, recovered by retransmission); none leaked through
   // exactly-once delivery to the task decoder.
   EXPECT_EQ(reg.total(obs::Counter::kMsgDecodeError),
-            eng.channels()->stats().decode_errors);
+            eng.channel()->channels().stats().decode_errors);
 }
 
 TEST(ThreadEngineUnderFaults, AuditedCyclesStayClean) {
@@ -449,8 +487,8 @@ TEST(ThreadEngineUnderFaults, ForceReliableWithoutFaultsIsTransparent) {
     if (g.is_free(v)) continue;
     EXPECT_EQ(eng.marker().is_marked(Plane::kR, v), o.in_R(v));
   }
-  ASSERT_NE(eng.channels(), nullptr);
-  EXPECT_EQ(eng.fault_plane()->stats().total_injected(), 0u);
+  ASSERT_NE(eng.channel(), nullptr);
+  EXPECT_EQ(eng.channel()->fault_plane().stats().total_injected(), 0u);
   EXPECT_EQ(eng.metrics_registry().total(obs::Counter::kMsgDupSuppressed), 0u);
 }
 

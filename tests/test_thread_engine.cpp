@@ -512,47 +512,58 @@ TEST(ThreadEngineFastPath, PeersStealFromALoadedRunQueue) {
 
 TEST(ThreadEngineFastPath, ExternalSeedWakesAParkedPe) {
   // A PE left to sleep out its idle wait would take a whole second to see
-  // the seed; the push into its run queue must wake it instead.
-  Graph g = make_presized(1, 8);
-  const VertexId v = g.alloc(0, OpCode::kData);
-  NetOptions net;
-  net.idle_wait_us = 1'000'000;
-  ThreadEngine eng(g, net);
-  eng.set_root(v);
-  eng.start();
-  CycleOptions copt;
-  copt.detect_deadlock = false;
-  for (int i = 0; i < 3; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));  // PE parks
-    const auto t0 = std::chrono::steady_clock::now();
-    eng.controller().start_cycle(copt);
-    eng.wait_quiescent();
-    const auto waited = std::chrono::steady_clock::now() - t0;
-    EXPECT_TRUE(eng.marker().done(Plane::kR));
-    EXPECT_LT(waited, std::chrono::microseconds(net.idle_wait_us / 10));
-    eng.wait_cycle_done();
+  // the seed; the push into its run queue must wake it instead — on the
+  // typed plane a direct push, on the channel plane (force_reliable) the
+  // channel's delivery.
+  for (const bool channel : {false, true}) {
+    SCOPED_TRACE(channel ? "channel plane" : "typed plane");
+    Graph g = make_presized(1, 8);
+    const VertexId v = g.alloc(0, OpCode::kData);
+    NetOptions net;
+    net.idle_wait_us = 1'000'000;
+    net.force_reliable = channel;
+    ThreadEngine eng(g, net);
+    eng.set_root(v);
+    eng.start();
+    CycleOptions copt;
+    copt.detect_deadlock = false;
+    for (int i = 0; i < 3; ++i) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));  // PE parks
+      const auto t0 = std::chrono::steady_clock::now();
+      eng.controller().start_cycle(copt);
+      eng.wait_quiescent();
+      const auto waited = std::chrono::steady_clock::now() - t0;
+      EXPECT_TRUE(eng.marker().done(Plane::kR));
+      EXPECT_LT(waited, std::chrono::microseconds(net.idle_wait_us / 10));
+      eng.wait_cycle_done();
+    }
+    eng.stop();
+    EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
+    EXPECT_EQ(eng.channel() != nullptr, channel);
   }
-  eng.stop();
-  EXPECT_TRUE(eng.marker().is_marked(Plane::kR, v));
 }
 
 // ---- The typed plane: every marking task a value, run queues as inboxes.
 
 TEST(ThreadEngineTypedPlane, StopWakesPesParkedOnTheirRunQueues) {
-  // Idle PEs park on their run queue's condvar; stop() must wake them
-  // rather than let each sleep out a one-second idle wait.
-  Graph g = make_presized(4, 8);
-  const VertexId v = g.alloc(0, OpCode::kData);
-  NetOptions net;
-  net.idle_wait_us = 1'000'000;
-  ThreadEngine eng(g, net);
-  eng.set_root(v);
-  eng.start();
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // PEs park
-  const auto t0 = std::chrono::steady_clock::now();
-  eng.stop();
-  EXPECT_LT(std::chrono::steady_clock::now() - t0,
-            std::chrono::milliseconds(100));
+  // Idle PEs park on their run queue's condvar, on both planes; stop() must
+  // wake them rather than let each sleep out a one-second idle wait.
+  for (const bool channel : {false, true}) {
+    SCOPED_TRACE(channel ? "channel plane" : "typed plane");
+    Graph g = make_presized(4, 8);
+    const VertexId v = g.alloc(0, OpCode::kData);
+    NetOptions net;
+    net.idle_wait_us = 1'000'000;
+    net.force_reliable = channel;
+    ThreadEngine eng(g, net);
+    eng.set_root(v);
+    eng.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));  // PEs park
+    const auto t0 = std::chrono::steady_clock::now();
+    eng.stop();
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(100));
+  }
 }
 
 TEST(ThreadEngineTypedPlane, CrossPeTasksMoveAsBatchedValues) {
@@ -579,7 +590,7 @@ TEST(ThreadEngineTypedPlane, CrossPeTasksMoveAsBatchedValues) {
   EXPECT_GT(st.remote_messages, 0u);
   EXPECT_GT(st.msg_batched, 0u);
   EXPECT_EQ(st.bytes_sent, 0u);
-  EXPECT_EQ(eng.channels(), nullptr);
+  EXPECT_EQ(eng.channel(), nullptr);
   EXPECT_GT(st.mailbox_high_water, 0u);  // run-queue high-water
   for (VertexId v : b.vertices) {
     if (g.is_free(v)) continue;
@@ -618,7 +629,7 @@ TEST(ThreadEngineTypedPlane, WatchdogSeesARunQueueBacklog) {
   }
   eng.stop();
   EXPECT_GE(saturated(), 1u);
-  EXPECT_EQ(eng.channels(), nullptr);
+  EXPECT_EQ(eng.channel(), nullptr);
   EXPECT_EQ(eng.stats().bytes_sent, 0u);
 }
 

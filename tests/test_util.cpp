@@ -112,12 +112,23 @@ TEST(Histogram, MergeAccumulates) {
 
 TEST(MpmcQueue, FifoSingleThread) {
   MpmcQueue<int> q;
-  for (int i = 0; i < 10; ++i) q.push(i);
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 4; ++i) q.push(i);
+  std::vector<int> batch = {4, 5, 6, 7, 8, 9};
+  q.push_all(batch);  // lands behind earlier pushes, in order
+  EXPECT_TRUE(batch.empty());
+  EXPECT_EQ(q.size(), 10u);
+  for (int i = 0; i < 2; ++i) {
     auto v = q.try_pop();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
+  // Drain up to N in push order; appends, and never blocks when short.
+  std::vector<int> out;
+  EXPECT_EQ(q.pop_up_to(4, out), 4u);
+  EXPECT_EQ(q.size(), 4u);
+  EXPECT_EQ(q.pop_up_to(100, out), 4u);
+  EXPECT_EQ(q.pop_up_to(100, out), 0u);
+  EXPECT_EQ(out, (std::vector<int>{2, 3, 4, 5, 6, 7, 8, 9}));
   EXPECT_FALSE(q.try_pop().has_value());
 }
 
@@ -188,8 +199,9 @@ TEST(MpmcQueue, BucketedSizeAndHighWaterSpanAllBuckets) {
   BucketedQueue q;
   q.push(300);
   q.push(0);
+  EXPECT_EQ(q.high_water(), 2u);
   std::vector<int> batch = {100, 200, 201};
-  q.push_all(batch);
+  q.push_all(batch);  // depth observed once, after the whole batch
   EXPECT_EQ(q.size(), 5u);
   EXPECT_EQ(q.high_water(), 5u);
   std::vector<int> out;
@@ -200,6 +212,12 @@ TEST(MpmcQueue, BucketedSizeAndHighWaterSpanAllBuckets) {
   EXPECT_EQ(*q.pop(), 201);
   EXPECT_EQ(*q.pop(), 300);
   EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.high_water(), 5u);
+  q.push(1);
+  EXPECT_EQ(q.high_water(), 5u);  // monotone
+  batch.clear();
+  q.push_all(batch);  // an empty batch is a no-op
+  EXPECT_EQ(q.size(), 1u);
   EXPECT_EQ(q.high_water(), 5u);
 }
 
